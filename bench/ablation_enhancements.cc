@@ -59,6 +59,5 @@ main(int argc, char **argv)
                 "codes (vortex, twolf, gcc) by skipping\nempty "
                 "segments; pushdown helps codes with long dependence "
                 "chains that clog the top segment.\n");
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

@@ -56,6 +56,5 @@ main(int argc, char **argv)
     std::printf("\nSmaller segments would clock faster (32-entry "
                 "wakeup vs 512) but add pipeline stages;\nthis sweep "
                 "shows the IPC cost side of that trade-off.\n");
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

@@ -66,6 +66,5 @@ main(int argc, char **argv)
                 "twolf, vortex) keep most segments gated\nwith little "
                 "IPC cost; window-hungry FP codes grow to full size "
                 "and save little.\n");
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

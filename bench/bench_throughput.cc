@@ -222,6 +222,5 @@ main(int argc, char **argv)
         writeTrajectory(trajectory_out, points, baseline_kcps,
                         baseline_label, anchor);
     }
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

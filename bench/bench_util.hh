@@ -9,16 +9,11 @@
  *   quick=1      reduce iteration counts ~4x for a fast smoke pass
  *   workloads=a,b,c   restrict to a subset of benchmarks
  *   jobs=N       sweep worker threads (default: hardware concurrency)
- *   batch=K      lockstep-batch up to K same-workload configs over one
- *                shared fetch stream (0/1 = off); stats and JSON are
- *                bit-identical to batch=1, only wall-clock changes
  *   bench_out=path    also write every result as JSON to `path`
  *   ff=N         fast-forward N instructions before the timed run
  *                (count keys accept k/m/g suffixes, e.g. ff=300m)
  *   bb_cache=0   use the step()-based reference interpreter for the
  *                functional paths (default: basic-block cache)
- *   iq_soa=0     use the object-per-entry segmented-IQ engine instead
- *                of the SoA engine (bit-identical; host speed only)
  *   ckpt_dir=path     persist/reuse warm-up checkpoints in `path`
  *   ckpt_reuse=0      disable the in-process sweep-level checkpoint
  *                     cache (each run fast-forwards cold again)
@@ -31,7 +26,8 @@
  *
  * Unknown keys are rejected with a "did you mean" suggestion so a
  * typo'd override fails loudly instead of silently measuring the
- * wrong configuration.
+ * wrong configuration.  A sweep bench exits nonzero when any of its
+ * jobs failed or did not halt, or when bench_out could not be written.
  */
 
 #ifndef SCIQ_BENCH_BENCH_UTIL_HH
@@ -56,7 +52,6 @@ struct BenchArgs
     std::uint64_t iters = 0;  ///< 0 = kernel default
     bool quick = false;
     unsigned jobs = 0;        ///< 0 = hardware concurrency
-    unsigned batch = 1;       ///< lockstep batch width (0/1 = off)
     std::string benchOut;     ///< JSON output path ("" = none)
     std::uint64_t ff = 0;     ///< fast-forward length (0 = none)
     std::string ckptDir;      ///< on-disk checkpoint cache ("" = none)
@@ -89,7 +84,6 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
         "bench_out",   "ff",          "ckpt_dir",        "ckpt_reuse",
         "audit",       "audit_panic", "journal",         "retries",
         "artifact_dir", "watchdog_cycles", "deadline_sec", "bb_cache",
-        "batch",       "iq_soa",
     };
     known.insert(known.end(), extra_known.begin(), extra_known.end());
     const std::string complaint = args.raw.unknownKeyMessage(known);
@@ -97,7 +91,7 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
         std::fprintf(stderr, "ERROR: %s\n", complaint.c_str());
         std::exit(2);
     }
-    for (const char *key : {"iters", "jobs", "batch", "ff", "retries",
+    for (const char *key : {"iters", "jobs", "ff", "retries",
                             "watchdog_cycles"}) {
         if (args.raw.getCount(key, 0) < 0) {
             std::fprintf(stderr, "ERROR: %s= must be >= 0\n", key);
@@ -113,7 +107,6 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
         static_cast<std::uint64_t>(args.raw.getCount("iters", 0));
     args.quick = args.raw.getBool("quick", false);
     args.jobs = static_cast<unsigned>(args.raw.getInt("jobs", 0));
-    args.batch = static_cast<unsigned>(args.raw.getCount("batch", 1));
     args.benchOut = args.raw.getString("bench_out", "");
     args.ff = static_cast<std::uint64_t>(args.raw.getCount("ff", 0));
     args.ckptDir = args.raw.getString("ckpt_dir", "");
@@ -157,7 +150,6 @@ applyArgs(SimConfig &cfg, const BenchArgs &args)
     if (args.ff > 0)
         cfg.fastForward = args.ff;
     cfg.bbCache = args.raw.getBool("bb_cache", true);
-    cfg.core.iq.soaLayout = args.raw.getBool("iq_soa", true);
     if (args.raw.has("watchdog_cycles")) {
         cfg.core.watchdogCycles = static_cast<Cycle>(
             args.raw.getCount("watchdog_cycles", 0));
@@ -209,7 +201,6 @@ class SweepBatch
         options.journal = args_.journal;
         options.maxRetries = args_.retries;
         options.artifactDir = args_.artifactDir;
-        options.batch = args_.batch;
         results_ = runner.run(configs_, options);
         for (const RunResult &r : results_) {
             if (!r.outcome.ok()) {
@@ -254,19 +245,37 @@ runConfig(SimConfig cfg, BenchArgs &args)
     return batch.result(0);
 }
 
-/** Write collected results to bench_out (if requested); end of main. */
-inline void
+/**
+ * Write collected results to bench_out (if requested) and return the
+ * bench's exit status: nonzero when any collected job failed or did
+ * not halt cleanly (SweepBatch::run already printed why), or when
+ * bench_out could not be written.  `return finishBench(args);` ends
+ * every sweep bench's main.
+ */
+inline int
 finishBench(const BenchArgs &args)
 {
+    std::size_t bad = 0;
+    for (const RunResult &r : args.collected)
+        bad += !r.outcome.ok() || !r.haltedCleanly;
+    int status = 0;
+    if (bad > 0) {
+        std::fprintf(stderr, "ERROR: %zu of %zu jobs failed or did not "
+                             "halt cleanly\n",
+                     bad, args.collected.size());
+        status = 1;
+    }
     if (args.benchOut.empty())
-        return;
+        return status;
     if (writeResultsJson(args.benchOut, args.collected)) {
         std::fprintf(stderr, "wrote %zu results to %s\n",
                      args.collected.size(), args.benchOut.c_str());
     } else {
         std::fprintf(stderr, "ERROR: could not write %s\n",
                      args.benchOut.c_str());
+        status = 1;
     }
+    return status;
 }
 
 inline void

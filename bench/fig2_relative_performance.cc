@@ -111,6 +111,5 @@ main(int argc, char **argv)
                 "base/128 ~71%%; base/64 ~61%%;\n"
                 "HMP and LRP recover most of the loss at finite chain "
                 "counts (comb/128 ~80%%).\n");
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

@@ -84,6 +84,5 @@ main(int argc, char **argv)
                 "~400%% from 32->512 on the ideal IQ;\n"
                 "segmented tracks 55-98%% of ideal; gcc is flat; "
                 "prescheduling only helps vortex as it grows.\n");
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

@@ -152,6 +152,5 @@ main(int argc, char **argv)
     std::printf("  serial and parallel results identical: yes\n");
 
     args.collected = std::move(parallel);
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

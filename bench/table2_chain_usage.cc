@@ -65,6 +65,5 @@ main(int argc, char **argv)
     }
     std::printf("\n\nPaper reference (512 entries): base avg 352 / "
                 "peak 516; HMP avg 235; LRP avg 147; comb avg 117.\n");
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

@@ -46,6 +46,5 @@ main(int argc, char **argv)
                 "in its 32-entry segment 0; vortex and\ntwolf use no "
                 "more than ~136 of 512 queue entries and keep >33%% of "
                 "ready instructions in segment 0.\n");
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

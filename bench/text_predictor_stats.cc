@@ -120,6 +120,5 @@ main(int argc, char **argv)
                 "coverage; ~35%% two-outstanding instructions;\n"
                 "loads are ~65%% of chains; deadlock in ~0.05%% of "
                 "cycles.\n");
-    finishBench(args);
-    return 0;
+    return finishBench(args);
 }

@@ -137,7 +137,7 @@ main(int argc, char **argv)
             "      heartbeat_ms=N       ping cadence (0 disables)\n"
             "      drain_ms=N           SIGTERM/SIGINT drain window\n"
             "      journal=FILE out=FILE sync_journal=0|1\n"
-            "      jobs=N batch=N ckpt_dir=DIR  (mode=local)\n"
+            "      jobs=N ckpt_dir=DIR  (mode=local)\n"
             "      retries=N artifact_dir=DIR\n"
             "      fault_coord_abort=N fault_seed=N  (chaos testing:\n"
             "      _exit(137) after journaling the Nth result)\n";
@@ -147,7 +147,7 @@ main(int argc, char **argv)
         {"mode", "preset", "spec", "workloads", "iters", "ff", "socket",
          "listen", "workers", "lease_ms", "lease_drops", "dup_ms",
          "grace_ms", "heartbeat_ms", "drain_ms", "journal", "out",
-         "sync_journal", "jobs", "batch", "ckpt_dir", "retries",
+         "sync_journal", "jobs", "ckpt_dir", "retries",
          "artifact_dir", "fault_coord_abort", "fault_seed", "help"});
     if (!complaint.empty()) {
         std::cerr << complaint << "\n";
@@ -191,8 +191,6 @@ main(int argc, char **argv)
             options.maxRetries =
                 static_cast<unsigned>(args.getInt("retries", 2));
             options.artifactDir = args.getString("artifact_dir");
-            options.batch =
-                static_cast<unsigned>(args.getInt("batch", 1));
             options.progress = progress;
 
             // Mirror the distributed fleet's shared warm-state store:

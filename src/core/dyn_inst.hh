@@ -26,14 +26,6 @@ struct FetchCheckpoint
 {
     std::array<std::uint64_t, kNumArchRegs> regs;
     ReturnAddressStack::Snapshot ras;
-
-    /**
-     * Shared-fetch-stream resume point: the stream index of the first
-     * instruction after this control inst on the correct path.  Only
-     * meaningful when the core is fed by a SharedFetchStream
-     * (core/fetch_stream.hh); a squash restores the stream cursor here.
-     */
-    std::size_t streamNext = 0;
 };
 
 /**

@@ -43,8 +43,6 @@
 
 namespace sciq {
 
-class SharedFetchStream;
-
 /** Which instruction-queue design drives the core. */
 enum class IqKind
 {
@@ -162,25 +160,6 @@ class OooCore
      */
     void seedState(const std::array<std::uint64_t, kNumArchRegs> &regs,
                    const SparseMemory &memory_image, Addr start_pc);
-
-    /**
-     * Feed correct-path fetch from a shared oracle stream (batched
-     * lockstep simulation, DESIGN.md §15).  Must be attached after
-     * seedState() and before the first tick(); the stream must have
-     * been constructed from the same architectural state this core was
-     * seeded with.  Wrong-path fetch still executes locally.
-     */
-    void attachFetchStream(SharedFetchStream *stream);
-
-    /**
-     * Trim floor for the attached stream: entries below the number of
-     * committed-since-seed instructions can never be re-read (squash
-     * resume points are always younger than the commit point).
-     */
-    std::uint64_t streamTrimFloor() const { return committedCount(); }
-
-    /** Next fetch PC (stream seeding; equals start PC before tick 0). */
-    Addr fetchProgramCounter() const { return fetchPc; }
 
     /** Attach a pipeline-event observer (tracing); may be null. */
     void setObserver(CommitObserver *obs) { observer = obs; }
@@ -307,8 +286,6 @@ class OooCore
 
     // Speculative fetch state.
     std::array<std::uint64_t, kNumArchRegs> specRegs{};
-    SharedFetchStream *fetchStream = nullptr;  ///< shared oracle stream
-    std::size_t streamIdx = 0;  ///< cursor: next correct-path entry
     Addr fetchPc;
     bool fetchHalted = false;   ///< HALT seen on the (spec) fetch path
     bool fetchInvalid = false;  ///< fetch ran off the program image

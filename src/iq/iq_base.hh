@@ -62,14 +62,6 @@ struct IqParams
      * tests can prove a broken bound is caught.  Never set in real runs.
      */
     bool auditInjectOverPromote = false;
-
-    /**
-     * Segmented IQ only: run the data-oriented (structure-of-arrays)
-     * per-cycle engine (DESIGN.md section 16).  `false` selects the
-     * original object-per-entry engine, kept as the bit-identical
-     * differential reference (`iq_soa=0`, mirroring `bb_cache=0`).
-     */
-    bool soaLayout = true;
 };
 
 class IqBase

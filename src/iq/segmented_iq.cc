@@ -37,9 +37,6 @@ class ScopedTimer
 
 } // namespace
 
-static_assert(kNumArchRegs <= 64,
-              "regAvail fast-plan mask assumes <= 64 architectural regs");
-
 SegmentedIq::SegmentedIq(const IqParams &params_,
                          const Scoreboard &scoreboard_, const FuPool &fu_,
                          HitMissPredictor *hmp_, LeftRightPredictor *lrp_)
@@ -107,40 +104,8 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     regSubPos.fill(-1);
     regSubChain.fill(kNoChain);
 
-    const std::size_t seg_words = (n + 63) / 64;
-    eligSegW.assign(seg_words, 0);
-    nearFullW.assign(seg_words, 0);
-    roomyW.assign(seg_words, 0);
-    cdCountSeg.assign(n, 0);
-    chainHot.resize(chainStates.size());
-    if (soa()) {
-        const unsigned cap = params.segmentSize;
-        const std::size_t slot_words = (cap + 63) / 64;
-        lanes.resize(n);
-        for (SegmentLanes &L : lanes) {
-            for (int m = 0; m < 2; ++m) {
-                L.delay[m].assign(cap, 0);
-                L.chain[m].assign(cap, kNoChain);
-                L.gen[m].assign(cap, 0);
-                L.applied[m].assign(cap, 0);
-                L.headSeg[m].assign(cap, 0);
-                L.flags[m].assign(cap, 0);
-                L.subIdx[m].assign(cap, -1);
-                L.src[m].assign(cap, kInvalidReg);
-                L.cdBits[m].assign(slot_words, 0);
-            }
-            L.memCount.assign(cap, 0);
-            L.seq.assign(cap, 0);
-            L.occBits.assign(slot_words, 0);
-            L.eligBits.assign(slot_words, 0);
-            L.slotAt.reserve(cap);
-        }
-        memoStamp.assign(n, 0);
-        memoEnd.assign(n, 0);
-    }
-    // Seed the word masks with the empty-segment free counts (the
-    // legacy masks were lazily initialised on first size change, which
-    // is equivalent: promotion rounds over empty segments are no-ops).
+    // Seed the near-full mask with the empty-segment free counts (a
+    // segment smaller than the issue width is near-full even empty).
     for (unsigned k = 0; k < n; ++k)
         onSegSizeChanged(k);
 }
@@ -167,10 +132,8 @@ SegmentedIq::ChainState &
 SegmentedIq::stateOf(ChainId id)
 {
     auto idx = static_cast<std::size_t>(id);
-    if (idx >= chainStates.size()) {
+    if (idx >= chainStates.size())
         chainStates.resize(idx + 1);
-        chainHot.resize(idx + 1);
-    }
     return chainStates[idx];
 }
 
@@ -227,21 +190,7 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
         ChainMembership m;
         m.chain = e.chain;
         m.gen = e.gen;
-        if (e.chain != kNoChain && soa()) {
-            // SoA engine: the 16-byte hot mirror holds exactly the
-            // scalars this path reads (audited against ChainState).
-            const ChainHot &ch = chainHot[static_cast<std::size_t>(e.chain)];
-            if (ch.gen != e.gen) {
-                // Wire reused: head long gone, value effectively ready.
-                continue;
-            }
-            m.appliedSeq = ch.seqCounter;
-            m.headSegment = ch.headSegment;
-            m.selfTimed = ch.selfTimed != 0;
-            m.suspended = ch.suspended != 0;
-            m.delay = ch.selfTimed ? e.latency
-                                   : 2 * ch.headSegment + e.latency;
-        } else if (e.chain != kNoChain) {
+        if (e.chain != kNoChain) {
             const ChainState &cs = stateOf(e.chain);
             if (cs.gen != e.gen) {
                 // Wire reused: head long gone, value effectively ready.
@@ -352,41 +301,12 @@ SegmentedIq::targetSegment() const
 }
 
 bool
-SegmentedIq::fastPlanEligible(const DynInst &inst) const
-{
-    // Identity shortcut (SoA engine): a non-load whose gating arch
-    // sources are all available in the table gets the default Plan --
-    // computePlan would find no memberships, create no chain and read
-    // no predictor, so skipping it is observable-equivalent.
-    if (!soa() || inst.isLoad())
-        return false;
-    const auto srcs = inst.staticInst.srcRegs();
-    const bool is_store = inst.isStore();
-    for (int i = 0; i < 2; ++i) {
-        const RegIndex r = srcs[i];
-        if (r == kInvalidReg)
-            continue;
-        if (is_store && i == 1)
-            continue;
-        if (!((regAvail >> r) & 1))
-            return false;
-    }
-    return true;
-}
-
-bool
 SegmentedIq::canInsert(const DynInstPtr &inst)
 {
     ScopedTimer timer(profiling, prof.dispatchSec);
     if (targetSegment() < 0) {
         dispatchStallsFull.inc();
         return false;
-    }
-    if (fastPlanEligible(*inst)) {
-        work.laneWordsTouched += 1;
-        planMemo = Plan{};
-        planMemoSeq = inst->seq;
-        return true;
     }
     Plan plan = computePlan(inst, false);
     planMemo = plan;
@@ -407,19 +327,6 @@ SegmentedIq::insertSorted(std::vector<DynInstPtr> &seg,
                                     return a->seq < b->seq;
                                 });
     seg.insert(pos, inst);
-}
-
-std::size_t
-SegmentedIq::insertSortedPos(std::vector<DynInstPtr> &seg,
-                             const DynInstPtr &inst)
-{
-    auto pos = std::lower_bound(seg.begin(), seg.end(), inst,
-                                [](const DynInstPtr &a, const DynInstPtr &b) {
-                                    return a->seq < b->seq;
-                                });
-    const std::size_t idx = static_cast<std::size_t>(pos - seg.begin());
-    seg.insert(pos, inst);
-    return idx;
 }
 
 void
@@ -468,30 +375,24 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         cs.suspended = false;
         cs.seqCounter = 0;
         cs.log.clear();
-        cs.soaVisFloor.clear();  // seq numbering restarts with the wire
         // Subscriber lists are NOT cleared on wire reuse: stale-
         // generation listeners are skipped by delivery and drop off
         // through their own lifecycle.  If the cleared log left the
         // chain on the active list, the tick-5 prune sweep retires it.
-        syncChainHot(id);
         chainsCreated.inc();
         if (plan.isLoadHead)
             headsFromLoads.inc();
     }
 
     seg_state.segment = target;
-    if (soa()) {
-        soaInsert(inst, target, plan);
-    } else {
-        insertSorted(segments[target], inst);
-        ++totalOcc;
-        onSegSizeChanged(static_cast<unsigned>(target));
-        for (int k = 0; k < seg_state.numMemberships; ++k) {
-            subscribeMember(inst.get(), k);
-            subSyncMemberCd(inst.get(), k);
-        }
-        refreshElig(inst.get());
+    insertSorted(segments[target], inst);
+    ++totalOcc;
+    onSegSizeChanged(static_cast<unsigned>(target));
+    for (int k = 0; k < seg_state.numMemberships; ++k) {
+        subscribeMember(inst.get(), k);
+        subSyncMemberCd(inst.get(), k);
     }
+    refreshElig(inst.get());
     instsInserted.inc();
     dispatchSegment.sample(static_cast<double>(target));
 
@@ -658,47 +559,6 @@ SegmentedIq::syncRegCd(RegIndex r)
         if (static_cast<std::size_t>(i) < regCountdown.size())
             regCdPos[last] = i;
     }
-    // Every table mutation funnels through here, so the availability
-    // mask (fast-plan path) can be maintained in the same place.  A
-    // stale-generation chain entry keeps its bit clear until delivery
-    // or overwrite catches up -- conservative, never wrong.
-    const std::uint64_t abit = 1ULL << r;
-    if (entryAvailable(e))
-        regAvail |= abit;
-    else
-        regAvail &= ~abit;
-}
-
-void
-SegmentedIq::syncChainHot(ChainId id)
-{
-    const ChainState &cs = chainStates[static_cast<std::size_t>(id)];
-    ChainHot &ch = chainHot[static_cast<std::size_t>(id)];
-    ch.seqCounter = cs.seqCounter;
-    ch.gen = cs.gen;
-    ch.headSegment = static_cast<std::int16_t>(cs.headSegment);
-    ch.selfTimed = cs.selfTimed ? 1 : 0;
-    ch.suspended = cs.suspended ? 1 : 0;
-}
-
-void
-SegmentedIq::eligCountInc(unsigned k)
-{
-    if (eligCount[k]++ == 0) {
-        if (k < 64)
-            eligMask |= 1ULL << k;
-        eligSegW[k >> 6] |= 1ULL << (k & 63);
-    }
-}
-
-void
-SegmentedIq::eligCountDec(unsigned k)
-{
-    if (--eligCount[k] == 0) {
-        if (k < 64)
-            eligMask &= ~(1ULL << k);
-        eligSegW[k >> 6] &= ~(1ULL << (k & 63));
-    }
 }
 
 void
@@ -708,11 +568,13 @@ SegmentedIq::refreshElig(DynInst *inst)
     const bool now = k >= 1 && effectiveDelay(*inst) < threshold(k - 1);
     if (now == inst->seg.promoEligible)
         return;
-    inst->seg.promoEligible = now;
-    if (now)
-        eligCountInc(static_cast<unsigned>(k));
-    else
-        eligCountDec(static_cast<unsigned>(k));
+    if (!now) {
+        leaveElig(inst);
+        return;
+    }
+    inst->seg.promoEligible = true;
+    if (eligCount[static_cast<unsigned>(k)]++ == 0 && k < 64)
+        eligMask |= 1ULL << k;
 }
 
 void
@@ -721,24 +583,17 @@ SegmentedIq::leaveElig(DynInst *inst)
     if (!inst->seg.promoEligible)
         return;
     inst->seg.promoEligible = false;
-    eligCountDec(static_cast<unsigned>(inst->seg.segment));
+    const unsigned k = static_cast<unsigned>(inst->seg.segment);
+    if (--eligCount[k] == 0 && k < 64)
+        eligMask &= ~(1ULL << k);
 }
 
 void
 SegmentedIq::onSegSizeChanged(unsigned k)
 {
-    const std::size_t free_now = params.segmentSize - segments[k].size();
-    const std::uint64_t wbit = 1ULL << (k & 63);
-    if (free_now < params.issueWidth)
-        nearFullW[k >> 6] |= wbit;
-    else
-        nearFullW[k >> 6] &= ~wbit;
-    if (free_now * 2 > 3 * static_cast<std::size_t>(params.issueWidth))
-        roomyW[k >> 6] |= wbit;
-    else
-        roomyW[k >> 6] &= ~wbit;
     if (k >= 64)
         return;
+    const std::size_t free_now = params.segmentSize - segments[k].size();
     if (free_now < params.issueWidth)
         nearFullMask |= 1ULL << k;
     else
@@ -784,7 +639,6 @@ SegmentedIq::emitSignal(const DynInstPtr &head, SignalKind kind,
     }
     cs.log.push_back(LoggedSignal{++cs.seqCounter, cycle, origin_segment,
                                   kind});
-    syncChainHot(head->seg.headedChain);
     if (!cs.active) {
         cs.active = true;
         activeChains.push_back(head->seg.headedChain);
@@ -876,10 +730,6 @@ void
 SegmentedIq::issueSelect(Cycle cycle, const TryIssue &try_issue)
 {
     ScopedTimer timer(profiling, prof.issueSec);
-    if (soa()) {
-        soaIssueSelect(cycle, try_issue);
-        return;
-    }
     // Single pass: count ready entries for the stats sample and issue
     // oldest-first in the same sweep.  Issuing never changes another
     // entry's scoreboard readiness, so the fused count equals the
@@ -999,29 +849,19 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
     }
 
     // 1-3. Promotion, signal delivery, self-timed countdowns -- the
-    //    per-cycle scheduler substages, dispatched to the selected
-    //    engine (bit-identical architected behaviour either way).
+    //    per-cycle scheduler substages.
     promotedThisCycle = 0;
     {
         ScopedTimer t(profiling, prof.promoteSec);
-        if (soa())
-            soaTickPromote(cycle);
-        else
-            aosTickPromote(cycle);
+        tickPromote(cycle);
     }
     {
         ScopedTimer t(profiling, prof.deliverSec);
-        if (soa())
-            soaTickDeliver(cycle);
-        else
-            aosTickDeliver(cycle);
+        tickDeliver(cycle);
     }
     {
         ScopedTimer t(profiling, prof.countdownSec);
-        if (soa())
-            soaTickCountdown();
-        else
-            aosTickCountdown();
+        tickCountdown();
     }
 
     // 4. Deadlock detection and recovery (section 4.5).
@@ -1029,10 +869,7 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
     if (occ > 0 && issuedThisCycle == 0 && promotedThisCycle == 0 &&
         !core_busy) {
         deadlockCycles.inc();
-        if (soa())
-            soaRunDeadlockRecovery(cycle);
-        else
-            runDeadlockRecovery(cycle);
+        runDeadlockRecovery(cycle);
     }
     issuedThisCycle = 0;
 
@@ -1091,7 +928,7 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
 }
 
 void
-SegmentedIq::aosTickPromote(Cycle cycle)
+SegmentedIq::tickPromote(Cycle cycle)
 {
     // Promotion, per segment boundary, oldest-eligible first, limited
     // by inter-segment bandwidth and by the *previous* cycle's free
@@ -1189,7 +1026,7 @@ SegmentedIq::aosTickPromote(Cycle cycle)
 }
 
 void
-SegmentedIq::aosTickDeliver(Cycle cycle)
+SegmentedIq::tickDeliver(Cycle cycle)
 {
     // Deliver chain-wire signals (including those generated by this
     // cycle's issues and promotions) with pipelined visibility.  Only
@@ -1216,7 +1053,7 @@ SegmentedIq::aosTickDeliver(Cycle cycle)
 }
 
 void
-SegmentedIq::aosTickCountdown()
+SegmentedIq::tickCountdown()
 {
     // Self-timed countdowns (members and table entries), walking the
     // explicit countdown lists.  List membership is exactly the old
@@ -1300,10 +1137,8 @@ SegmentedIq::runDeadlockRecovery(Cycle cycle)
         if (recycled->seg.headedChain != kNoChain &&
             !recycled->seg.chainReleased) {
             ChainState &cs = stateOf(recycled->seg.headedChain);
-            if (cs.gen == recycled->seg.headedGen) {
+            if (cs.gen == recycled->seg.headedGen)
                 cs.headSegment = static_cast<int>(top);
-                syncChainHot(recycled->seg.headedChain);
-            }
         }
         insertSorted(segments[top], recycled);
         onSegSizeChanged(top);
@@ -1370,10 +1205,6 @@ SegmentedIq::onSquashInst(const DynInstPtr &inst)
 void
 SegmentedIq::squash(SeqNum youngest_kept)
 {
-    if (soa()) {
-        soaSquash(youngest_kept);
-        return;
-    }
     // Segments are seq-sorted, so the squashed set is a suffix.
     for (unsigned k = 0; k < segments.size(); ++k) {
         auto &seg = segments[k];
@@ -1387,788 +1218,6 @@ SegmentedIq::squash(SeqNum youngest_kept)
         seg.erase(pos, seg.end());
         onSegSizeChanged(k);
     }
-}
-
-// --- Data-oriented engine (DESIGN.md section 16) -------------------------
-// Every function below is an exact behavioural mirror of its reference
-// counterpart above: same visit order where order is observable, same
-// stat increments, same architected state transitions.  The difference
-// is purely representational (lanes + bitmasks instead of objects, and
-// batched per-chain delivery instead of per-subscriber log scans).
-
-int
-SegmentedIq::laneEffDelay(const SegmentLanes &L, unsigned slot)
-{
-    int d = 0;
-    const int mc = L.memCount[slot];
-    if (mc > 0)
-        d = std::max(d, static_cast<int>(L.delay[0][slot]));
-    if (mc > 1)
-        d = std::max(d, static_cast<int>(L.delay[1][slot]));
-    return d;
-}
-
-unsigned
-SegmentedIq::allocSlot(SegmentLanes &L) const
-{
-    const unsigned cap = params.segmentSize;
-    for (std::size_t w = 0; w < L.occBits.size(); ++w) {
-        const unsigned base = static_cast<unsigned>(w * 64);
-        const unsigned span = std::min(64u, cap - base);
-        std::uint64_t inv = ~L.occBits[w];
-        if (span < 64)
-            inv &= (1ULL << span) - 1;
-        if (inv)
-            return base + static_cast<unsigned>(__builtin_ctzll(inv));
-    }
-    SCIQ_ASSERT(false, "segmented IQ: no free lane slot");
-    return 0;
-}
-
-void
-SegmentedIq::setLaneElig(unsigned k, unsigned slot, bool now)
-{
-    std::uint64_t &w = lanes[k].eligBits[slot >> 6];
-    const std::uint64_t bit = 1ULL << (slot & 63);
-    if (((w & bit) != 0) == now)
-        return;
-    w ^= bit;
-    if (now)
-        eligCountInc(k);
-    else
-        eligCountDec(k);
-}
-
-void
-SegmentedIq::syncLaneCd(unsigned k, unsigned slot, int mem)
-{
-    SegmentLanes &L = lanes[k];
-    const std::uint8_t f = L.flags[mem][slot];
-    const bool want = (f & kLaneSelfTimed) && !(f & kLaneSuspended) &&
-                      L.delay[mem][slot] > 0;
-    std::uint64_t &w = L.cdBits[mem][slot >> 6];
-    const std::uint64_t bit = 1ULL << (slot & 63);
-    if (((w & bit) != 0) == want)
-        return;
-    w ^= bit;
-    if (want)
-        ++cdCountSeg[k];
-    else
-        --cdCountSeg[k];
-}
-
-void
-SegmentedIq::soaLeaveSlot(unsigned k, unsigned slot)
-{
-    SegmentLanes &L = lanes[k];
-    const std::uint64_t bit = 1ULL << (slot & 63);
-    for (int m = 0; m < L.memCount[slot]; ++m) {
-        const std::int32_t si = L.subIdx[m][slot];
-        if (si >= 0) {
-            ChainState &cs = stateOf(L.chain[m][slot]);
-            L.subIdx[m][slot] = -1;
-            const SoaSub last = cs.soaSubs.back();
-            cs.soaSubs[static_cast<std::size_t>(si)] = last;
-            cs.soaSubs.pop_back();
-            if (static_cast<std::size_t>(si) < cs.soaSubs.size())
-                lanes[last.seg].subIdx[last.mem][last.slot] = si;
-        }
-        std::uint64_t &cw = L.cdBits[m][slot >> 6];
-        if (cw & bit) {
-            cw &= ~bit;
-            --cdCountSeg[k];
-        }
-    }
-    setLaneElig(k, slot, false);
-    L.occBits[slot >> 6] &= ~bit;
-    --totalOcc;
-}
-
-void
-SegmentedIq::soaMove(unsigned from, std::size_t pos, unsigned to,
-                     Cycle cycle)
-{
-    SegmentLanes &S = lanes[from];
-    SegmentLanes &D = lanes[to];
-    const unsigned slot = S.slotAt[pos];
-    DynInstPtr inst = segments[from][pos];
-    work.laneWordsTouched += 12;  // lane copy-out/copy-in + index upkeep
-
-    setLaneElig(from, slot, false);
-    segments[from].erase(segments[from].begin() +
-                         static_cast<std::ptrdiff_t>(pos));
-    S.slotAt.erase(S.slotAt.begin() + static_cast<std::ptrdiff_t>(pos));
-    S.occBits[slot >> 6] &= ~(1ULL << (slot & 63));
-    onSegSizeChanged(from);
-
-    const unsigned slot2 = allocSlot(D);
-    const std::uint64_t bit2 = 1ULL << (slot2 & 63);
-    D.src[0][slot2] = S.src[0][slot];
-    D.src[1][slot2] = S.src[1][slot];
-    D.memCount[slot2] = S.memCount[slot];
-    D.seq[slot2] = S.seq[slot];
-    for (int m = 0; m < S.memCount[slot]; ++m) {
-        D.delay[m][slot2] = S.delay[m][slot];
-        D.chain[m][slot2] = S.chain[m][slot];
-        D.gen[m][slot2] = S.gen[m][slot];
-        D.applied[m][slot2] = S.applied[m][slot];
-        D.headSeg[m][slot2] = S.headSeg[m][slot];
-        D.flags[m][slot2] = S.flags[m][slot];
-        const std::int32_t si = S.subIdx[m][slot];
-        D.subIdx[m][slot2] = si;
-        if (si >= 0) {
-            stateOf(S.chain[m][slot]).soaSubs[static_cast<std::size_t>(si)] =
-                {static_cast<std::uint16_t>(to),
-                 static_cast<std::uint16_t>(slot2),
-                 static_cast<std::uint16_t>(m)};
-        }
-        // The countdown predicate does not depend on the segment, so
-        // the bit moves verbatim.
-        std::uint64_t &sw = S.cdBits[m][slot >> 6];
-        const std::uint64_t sbit = 1ULL << (slot & 63);
-        if (sw & sbit) {
-            sw &= ~sbit;
-            --cdCountSeg[from];
-            D.cdBits[m][slot2 >> 6] |= bit2;
-            ++cdCountSeg[to];
-        }
-    }
-    D.occBits[slot2 >> 6] |= bit2;
-    inst->seg.segment = static_cast<int>(to);
-    const std::size_t ipos = insertSortedPos(segments[to], inst);
-    D.slotAt.insert(D.slotAt.begin() + static_cast<std::ptrdiff_t>(ipos),
-                    static_cast<std::uint16_t>(slot2));
-    onSegSizeChanged(to);
-    setLaneElig(to, slot2,
-                to >= 1 && laneEffDelay(D, slot2) < threshold(to - 1));
-
-    // A promoting chain head asserts its wire in the segment it leaves.
-    emitSignal(inst, SignalKind::Assert, static_cast<int>(from), cycle);
-}
-
-unsigned
-SegmentedIq::nextCandidateSegment(unsigned from) const
-{
-    // Live query: the promotion loop mutates segment sizes as it runs
-    // (a round at k can open room below k+1), so the masks must be
-    // re-read after every round rather than snapshotted up front.
-    const bool push = params.enablePushdown;
-    for (std::size_t w = from >> 6; w < eligSegW.size(); ++w) {
-        std::uint64_t cand = eligSegW[w];
-        if (push) {
-            std::uint64_t roomy_below = roomyW[w] << 1;
-            if (w > 0)
-                roomy_below |= roomyW[w - 1] >> 63;
-            cand |= nearFullW[w] & roomy_below;
-        }
-        if (w == (from >> 6))
-            cand &= ~0ULL << (from & 63);
-        if (w == 0)
-            cand &= ~1ULL;  // segment 0 never promotes
-        ++work.laneWordsTouched;
-        if (cand)
-            return static_cast<unsigned>(w * 64) +
-                   static_cast<unsigned>(__builtin_ctzll(cand));
-    }
-    return 0;
-}
-
-void
-SegmentedIq::soaInsert(const DynInstPtr &inst, int target, const Plan &plan)
-{
-    const unsigned k = static_cast<unsigned>(target);
-    SegmentLanes &L = lanes[k];
-    const unsigned slot = allocSlot(L);
-    const auto srcs = iqSources(*inst);
-    L.src[0][slot] = srcs[0];
-    L.src[1][slot] = srcs[1];
-    L.memCount[slot] = static_cast<std::uint8_t>(plan.numMemberships);
-    L.seq[slot] = inst->seq;
-    for (int m = 0; m < plan.numMemberships; ++m) {
-        const ChainMembership &mem = plan.memberships[m];
-        L.delay[m][slot] = mem.delay;
-        L.chain[m][slot] = mem.chain;
-        L.gen[m][slot] = mem.gen;
-        L.applied[m][slot] = mem.appliedSeq;
-        L.headSeg[m][slot] = static_cast<std::int16_t>(mem.headSegment);
-        L.flags[m][slot] =
-            static_cast<std::uint8_t>((mem.selfTimed ? kLaneSelfTimed : 0) |
-                                      (mem.suspended ? kLaneSuspended : 0));
-        if (mem.chain != kNoChain) {
-            ChainState &cs = stateOf(mem.chain);
-            L.subIdx[m][slot] = static_cast<std::int32_t>(cs.soaSubs.size());
-            cs.soaSubs.push_back({static_cast<std::uint16_t>(k),
-                                  static_cast<std::uint16_t>(slot),
-                                  static_cast<std::uint16_t>(m)});
-        } else {
-            L.subIdx[m][slot] = -1;
-        }
-        syncLaneCd(k, slot, m);
-    }
-    L.occBits[slot >> 6] |= 1ULL << (slot & 63);
-    const std::size_t pos = insertSortedPos(segments[k], inst);
-    L.slotAt.insert(L.slotAt.begin() + static_cast<std::ptrdiff_t>(pos),
-                    static_cast<std::uint16_t>(slot));
-    ++totalOcc;
-    onSegSizeChanged(k);
-    setLaneElig(k, slot,
-                k >= 1 && laneEffDelay(L, slot) < threshold(k - 1));
-}
-
-void
-SegmentedIq::soaTickPromote(Cycle cycle)
-{
-    unsigned dirty = 0;
-    const unsigned iw = params.issueWidth;
-    for (unsigned k = nextCandidateSegment(1); k != 0;
-         k = nextCandidateSegment(k + 1)) {
-        auto &seg = segments[k];
-        if (seg.empty())
-            continue;
-        ++work.segmentsScanned;
-        work.laneWordsTouched += 2;
-
-        bool pushdown_possible = false;
-        const std::size_t free_here = params.segmentSize - seg.size();
-        const std::size_t free_below =
-            params.segmentSize - segments[k - 1].size();
-        if (params.enablePushdown) {
-            pushdown_possible =
-                free_here < iw && free_below * 2 > 3 * iw;
-        }
-        if (eligCount[k] == 0 && !pushdown_possible)
-            continue;  // mask said candidate, live predicate disagrees
-        ++dirty;
-
-        const SegmentLanes &Lk = lanes[k];
-        const std::size_t sz = seg.size();
-        scratchEligPos.clear();
-        scratchPushPos.clear();
-        if (eligCount[k] != 0) {
-            // slotAt sweep in seq order; the elig bit equals the
-            // reference engine's effDelay-vs-threshold predicate.
-            // Collection stops at issueWidth entries: the move loop
-            // below can never consume more (budget <= issueWidth).
-            work.laneWordsTouched += (sz + 3) / 4 + 1;
-            for (std::size_t pos = 0;
-                 pos < sz && scratchEligPos.size() < iw; ++pos) {
-                const unsigned slot = Lk.slotAt[pos];
-                if ((Lk.eligBits[slot >> 6] >> (slot & 63)) & 1)
-                    scratchEligPos.push_back(
-                        static_cast<std::uint32_t>(pos));
-            }
-        }
-        if (pushdown_possible) {
-            std::size_t examined = 0;
-            for (std::size_t pos = 0;
-                 pos < sz && scratchPushPos.size() < iw; ++pos) {
-                const unsigned slot = Lk.slotAt[pos];
-                ++examined;
-                if (!((Lk.eligBits[slot >> 6] >> (slot & 63)) & 1))
-                    scratchPushPos.push_back(
-                        static_cast<std::uint32_t>(pos));
-            }
-            work.laneWordsTouched += (examined + 3) / 4 + 1;
-        }
-
-        unsigned budget = std::min<unsigned>(
-            iw, std::min<unsigned>(
-                    freePrevCycle[k - 1],
-                    static_cast<unsigned>(params.segmentSize -
-                                          segments[k - 1].size())));
-        if (params.auditInjectOverPromote) {
-            budget = std::min<unsigned>(
-                iw, static_cast<unsigned>(params.segmentSize -
-                                          segments[k - 1].size()));
-        }
-
-        movedOrig.clear();
-        const auto moveAdjusted = [&](std::uint32_t orig) {
-            std::size_t adj = orig;
-            for (std::uint32_t prev : movedOrig) {
-                if (prev < orig)
-                    --adj;
-            }
-            soaMove(k, adj, k - 1, cycle);
-            movedOrig.push_back(orig);
-            promotions.inc();
-            ++promotedThisCycle;
-            if (auditTracking)
-                ++promotedInto[k - 1];
-        };
-        for (std::uint32_t p : scratchEligPos) {
-            if (budget == 0)
-                break;
-            moveAdjusted(p);
-            --budget;
-        }
-        for (std::uint32_t p : scratchPushPos) {
-            if (budget == 0)
-                break;
-            moveAdjusted(p);
-            pushdownPromotions.inc();
-            --budget;
-        }
-    }
-    dirtySegments.inc(static_cast<double>(dirty));
-}
-
-void
-SegmentedIq::soaTickDeliver(Cycle cycle)
-{
-    const int top = static_cast<int>(segments.size()) - 1;
-    for (std::size_t c = 0; c < activeChains.size(); ++c) {
-        const ChainId id = activeChains[c];
-        ChainState &cs = chainStates[static_cast<std::size_t>(id)];
-        if (cs.log.empty())
-            continue;
-        ++memoToken;
-        const std::uint64_t front_seq = cs.log.front().seq;
-        const std::size_t log_sz = cs.log.size();
-        if (cs.soaVisFloor.size() != segments.size())
-            cs.soaVisFloor.assign(segments.size(), 0);
-
-        // Maximal visible prefix of the log at segment s this cycle --
-        // exactly where the reference engine's per-subscriber scan
-        // breaks.  Computed once per (chain, segment).  Visibility at a
-        // fixed segment is monotone in time (entries are immutable and
-        // `cycle` only grows), so the probe resumes from the highest
-        // seq previously proven visible here instead of rescanning the
-        // whole log; entries below the floor are applied via the
-        // subscriber's own contiguous [start, end) window.
-        const auto visibleEnd = [&](int s) -> std::size_t {
-            const unsigned us = static_cast<unsigned>(s);
-            if (memoStamp[us] == memoToken)
-                return memoEnd[us];
-            const std::uint64_t floor_seq = cs.soaVisFloor[us];
-            std::size_t e =
-                floor_seq >= front_seq
-                    ? static_cast<std::size_t>(floor_seq - front_seq + 1)
-                    : 0;
-            if (e > log_sz)
-                e = log_sz;
-            while (e < log_sz) {
-                const LoggedSignal &sig = cs.log.at(e);
-                ++work.signalDeliveries;
-                const Cycle lag =
-                    s > sig.originSegment
-                        ? static_cast<Cycle>(s - sig.originSegment)
-                        : 0;
-                if (cycle < sig.cycle + lag)
-                    break;
-                ++e;
-            }
-            memoStamp[us] = memoToken;
-            memoEnd[us] = static_cast<std::uint32_t>(e);
-            if (e > 0)
-                cs.soaVisFloor[us] = front_seq + e - 1;
-            return e;
-        };
-
-        for (const SoaSub &sub : cs.soaSubs) {
-            ++work.laneWordsTouched;
-            SegmentLanes &Ls = lanes[sub.seg];
-            if (Ls.gen[sub.mem][sub.slot] != cs.gen)
-                continue;  // wire reused; skipped like the reference
-            const std::uint64_t applied = Ls.applied[sub.mem][sub.slot];
-            const std::size_t start =
-                applied < front_seq
-                    ? 0
-                    : static_cast<std::size_t>(applied - front_seq + 1);
-            const std::size_t end = visibleEnd(static_cast<int>(sub.seg));
-            std::int32_t d = Ls.delay[sub.mem][sub.slot];
-            std::int16_t hs = Ls.headSeg[sub.mem][sub.slot];
-            std::uint8_t fl = Ls.flags[sub.mem][sub.slot];
-            std::uint64_t new_applied = applied;
-            if (start < end) {
-                // Contiguous already-applied prefix, then the shared
-                // visible prefix: apply [start, end) with no per-entry
-                // visibility test.
-                work.laneWordsTouched += 2;
-                for (std::size_t i = start; i < end; ++i) {
-                    const LoggedSignal &sig = cs.log.at(i);
-                    ++work.signalDeliveries;
-                    switch (sig.kind) {
-                      case SignalKind::Assert:
-                        if (hs > 0) {
-                            hs -= 1;
-                            d = std::max(0, d - 2);
-                        } else {
-                            fl |= kLaneSelfTimed;
-                        }
-                        break;
-                      case SignalKind::Suspend:
-                        fl |= kLaneSuspended;
-                        break;
-                      case SignalKind::Resume:
-                        fl &= static_cast<std::uint8_t>(~kLaneSuspended);
-                        break;
-                    }
-                }
-                new_applied = front_seq + end - 1;
-            } else if (start > end) {
-                // A listener moved *up* (deadlock recycle) can sit past
-                // the shared prefix; replay the exact per-entry scan.
-                work.laneWordsTouched += 2;
-                for (std::size_t i = start; i < log_sz; ++i) {
-                    const LoggedSignal &sig = cs.log.at(i);
-                    ++work.signalDeliveries;
-                    const Cycle lag =
-                        static_cast<int>(sub.seg) > sig.originSegment
-                            ? static_cast<Cycle>(
-                                  static_cast<int>(sub.seg) -
-                                  sig.originSegment)
-                            : 0;
-                    if (cycle < sig.cycle + lag)
-                        break;
-                    new_applied = sig.seq;
-                    switch (sig.kind) {
-                      case SignalKind::Assert:
-                        if (hs > 0) {
-                            hs -= 1;
-                            d = std::max(0, d - 2);
-                        } else {
-                            fl |= kLaneSelfTimed;
-                        }
-                        break;
-                      case SignalKind::Suspend:
-                        fl |= kLaneSuspended;
-                        break;
-                      case SignalKind::Resume:
-                        fl &= static_cast<std::uint8_t>(~kLaneSuspended);
-                        break;
-                    }
-                }
-            } else {
-                continue;  // nothing newly visible here
-            }
-            if (new_applied == applied)
-                continue;
-            Ls.delay[sub.mem][sub.slot] = d;
-            Ls.headSeg[sub.mem][sub.slot] = hs;
-            Ls.flags[sub.mem][sub.slot] = fl;
-            Ls.applied[sub.mem][sub.slot] = new_applied;
-            syncLaneCd(sub.seg, sub.slot, sub.mem);
-            setLaneElig(sub.seg, sub.slot,
-                        sub.seg >= 1 &&
-                            laneEffDelay(Ls, sub.slot) <
-                                threshold(sub.seg - 1));
-        }
-
-        if (!cs.regSubs.empty()) {
-            const std::size_t end_top = visibleEnd(top);
-            for (RegIndex r : cs.regSubs) {
-                work.laneWordsTouched += 2;
-                RegInfoEntry &e = regInfo[r];
-                if (!e.pending || e.chain == kNoChain)
-                    continue;
-                if (cs.gen != e.gen)
-                    continue;
-                const std::size_t start =
-                    e.appliedSeq < front_seq
-                        ? 0
-                        : static_cast<std::size_t>(e.appliedSeq -
-                                                   front_seq + 1);
-                if (start >= end_top)
-                    continue;  // table listens at the fixed top segment
-                for (std::size_t i = start; i < end_top; ++i) {
-                    const LoggedSignal &sig = cs.log.at(i);
-                    ++work.signalDeliveries;
-                    switch (sig.kind) {
-                      case SignalKind::Assert:
-                        if (e.headSeg > 0)
-                            e.headSeg -= 1;
-                        else
-                            e.selfTimed = true;
-                        break;
-                      case SignalKind::Suspend:
-                        e.suspended = true;
-                        break;
-                      case SignalKind::Resume:
-                        e.suspended = false;
-                        break;
-                    }
-                }
-                e.appliedSeq = front_seq + end_top - 1;
-                syncRegCd(r);
-            }
-        }
-    }
-}
-
-void
-SegmentedIq::soaTickCountdown()
-{
-    const unsigned n = static_cast<unsigned>(segments.size());
-    for (unsigned k = 0; k < n; ++k) {
-        if (cdCountSeg[k] == 0)
-            continue;
-        SegmentLanes &Lk = lanes[k];
-        for (int m = 0; m < 2; ++m) {
-            for (std::size_t w = 0; w < Lk.cdBits[m].size(); ++w) {
-                std::uint64_t bits = Lk.cdBits[m][w];
-                if (!bits)
-                    continue;
-                ++work.laneWordsTouched;
-                while (bits) {
-                    const unsigned slot =
-                        static_cast<unsigned>(w * 64) +
-                        static_cast<unsigned>(__builtin_ctzll(bits));
-                    bits &= bits - 1;
-                    work.laneWordsTouched += 2;
-                    std::int32_t &d = Lk.delay[m][slot];
-                    d -= 1;
-                    setLaneElig(k, slot,
-                                k >= 1 && laneEffDelay(Lk, slot) <
-                                              threshold(k - 1));
-                    if (d == 0) {
-                        Lk.cdBits[m][w] &= ~(1ULL << (slot & 63));
-                        --cdCountSeg[k];
-                    }
-                }
-            }
-        }
-    }
-    for (std::size_t i = 0; i < regCountdown.size();) {
-        const RegIndex r = regCountdown[i];
-        work.laneWordsTouched += 2;
-        regInfo[r].latency -= 1;
-        if (regInfo[r].latency == 0)
-            syncRegCd(r);
-        else
-            ++i;
-    }
-}
-
-void
-SegmentedIq::soaIssueSelect(Cycle cycle, const TryIssue &try_issue)
-{
-    auto &seg0 = segments[0];
-    SegmentLanes &L0 = lanes[0];
-    const std::size_t occ0 = seg0.size();
-    unsigned ready = 0;
-    unsigned issued = 0;
-    for (std::size_t pos = 0; pos < seg0.size();) {
-        const unsigned slot = L0.slotAt[pos];
-        ++work.laneWordsTouched;
-        const bool r = scoreboard.isReady(L0.src[0][slot]) &&
-                       scoreboard.isReady(L0.src[1][slot]);
-        if (r)
-            ++ready;
-        if (r && issued < params.issueWidth && try_issue(seg0[pos])) {
-            DynInstPtr inst = seg0[pos];
-            instsIssued.inc();
-            ++issued;
-            ++issuedThisCycle;
-            emitSignal(inst, SignalKind::Assert, 0, cycle);
-            soaLeaveSlot(0, slot);
-            seg0.erase(seg0.begin() + static_cast<std::ptrdiff_t>(pos));
-            L0.slotAt.erase(L0.slotAt.begin() +
-                            static_cast<std::ptrdiff_t>(pos));
-        } else {
-            ++pos;
-        }
-    }
-    seg0Ready.sample(static_cast<double>(ready));
-    seg0Occupancy.sample(static_cast<double>(occ0));
-    if (issued > 0)
-        onSegSizeChanged(0);
-}
-
-void
-SegmentedIq::soaSquash(SeqNum youngest_kept)
-{
-    // Segments are seq-sorted, so the squashed set is a suffix.
-    for (unsigned k = 0; k < segments.size(); ++k) {
-        auto &seg = segments[k];
-        auto pos = std::upper_bound(
-            seg.begin(), seg.end(), youngest_kept,
-            [](SeqNum s, const DynInstPtr &p) { return s < p->seq; });
-        if (pos == seg.end())
-            continue;
-        SegmentLanes &Lk = lanes[k];
-        const std::size_t first =
-            static_cast<std::size_t>(pos - seg.begin());
-        for (std::size_t i = first; i < seg.size(); ++i)
-            soaLeaveSlot(k, Lk.slotAt[i]);
-        seg.erase(pos, seg.end());
-        Lk.slotAt.erase(Lk.slotAt.begin() +
-                            static_cast<std::ptrdiff_t>(first),
-                        Lk.slotAt.end());
-        onSegSizeChanged(k);
-    }
-}
-
-void
-SegmentedIq::soaRunDeadlockRecovery(Cycle cycle)
-{
-    deadlockRecoveries.inc();
-    const unsigned n = static_cast<unsigned>(segments.size());
-
-    // If the issue buffer is full of non-ready instructions, recycle
-    // its youngest back to the top segment.  Its lane data is stashed
-    // (the seg-0 slot may be re-used by the force promotions below);
-    // the soaSubs records keep their indices and are re-pointed at the
-    // new lane on re-insert -- nothing walks them in between.
-    DynInstPtr recycled;
-    std::int32_t st_delay[2] = {0, 0};
-    ChainId st_chain[2] = {kNoChain, kNoChain};
-    std::uint32_t st_gen[2] = {0, 0};
-    std::uint64_t st_applied[2] = {0, 0};
-    std::int16_t st_headSeg[2] = {0, 0};
-    std::uint8_t st_flags[2] = {0, 0};
-    std::int32_t st_subIdx[2] = {-1, -1};
-    bool st_cd[2] = {false, false};
-    RegIndex st_src[2] = {kInvalidReg, kInvalidReg};
-    std::uint8_t st_mc = 0;
-    SeqNum st_seq = kInvalidSeqNum;
-    if (activeSegments > 1 && segments[0].size() >= params.segmentSize) {
-        SegmentLanes &L0 = lanes[0];
-        const std::size_t pos = segments[0].size() - 1;
-        const unsigned slot = L0.slotAt[pos];
-        const std::uint64_t bit = 1ULL << (slot & 63);
-        recycled = segments[0].back();
-        setLaneElig(0, slot, false);
-        st_mc = L0.memCount[slot];
-        st_seq = L0.seq[slot];
-        st_src[0] = L0.src[0][slot];
-        st_src[1] = L0.src[1][slot];
-        for (int m = 0; m < st_mc; ++m) {
-            st_delay[m] = L0.delay[m][slot];
-            st_chain[m] = L0.chain[m][slot];
-            st_gen[m] = L0.gen[m][slot];
-            st_applied[m] = L0.applied[m][slot];
-            st_headSeg[m] = L0.headSeg[m][slot];
-            st_flags[m] = L0.flags[m][slot];
-            st_subIdx[m] = L0.subIdx[m][slot];
-            std::uint64_t &cw = L0.cdBits[m][slot >> 6];
-            st_cd[m] = (cw & bit) != 0;
-            if (st_cd[m]) {
-                cw &= ~bit;
-                --cdCountSeg[0];
-            }
-        }
-        L0.occBits[slot >> 6] &= ~bit;
-        segments[0].pop_back();
-        L0.slotAt.pop_back();
-        onSegSizeChanged(0);
-    }
-
-    // Force every full segment to promote one instruction downward;
-    // processing bottom-up guarantees the destination has a slot.
-    for (unsigned k = 1; k < n; ++k) {
-        if (segments[k].size() < params.segmentSize)
-            continue;
-        if (segments[k - 1].size() >= params.segmentSize)
-            continue;  // cannot happen after bottom-up processing
-        soaMove(k, 0, k - 1, cycle);
-        promotions.inc();
-        ++promotedThisCycle;
-    }
-
-    // With nothing full, nothing promoted and nothing in flight, the
-    // scheduler has stalled on stale delay values; nudge the oldest
-    // instruction in the lowest non-empty segment downward.
-    if (promotedThisCycle == 0 && !recycled) {
-        for (unsigned k = 1; k < n; ++k) {
-            if (segments[k].empty())
-                continue;
-            if (segments[k - 1].size() < params.segmentSize) {
-                soaMove(k, 0, k - 1, cycle);
-                promotions.inc();
-                ++promotedThisCycle;
-            }
-            break;
-        }
-    }
-
-    if (recycled) {
-        const unsigned top = activeSegments - 1;
-        recycled->seg.segment = static_cast<int>(top);
-        if (recycled->seg.headedChain != kNoChain &&
-            !recycled->seg.chainReleased) {
-            ChainState &cs = stateOf(recycled->seg.headedChain);
-            if (cs.gen == recycled->seg.headedGen) {
-                cs.headSegment = static_cast<int>(top);
-                syncChainHot(recycled->seg.headedChain);
-            }
-        }
-        SegmentLanes &D = lanes[top];
-        const unsigned slot2 = allocSlot(D);
-        const std::uint64_t bit2 = 1ULL << (slot2 & 63);
-        D.src[0][slot2] = st_src[0];
-        D.src[1][slot2] = st_src[1];
-        D.memCount[slot2] = st_mc;
-        D.seq[slot2] = st_seq;
-        for (int m = 0; m < st_mc; ++m) {
-            D.delay[m][slot2] = st_delay[m];
-            D.chain[m][slot2] = st_chain[m];
-            D.gen[m][slot2] = st_gen[m];
-            D.applied[m][slot2] = st_applied[m];
-            D.headSeg[m][slot2] = st_headSeg[m];
-            D.flags[m][slot2] = st_flags[m];
-            D.subIdx[m][slot2] = st_subIdx[m];
-            if (st_subIdx[m] >= 0) {
-                stateOf(st_chain[m])
-                    .soaSubs[static_cast<std::size_t>(st_subIdx[m])] =
-                    {static_cast<std::uint16_t>(top),
-                     static_cast<std::uint16_t>(slot2),
-                     static_cast<std::uint16_t>(m)};
-            }
-            if (st_cd[m]) {
-                D.cdBits[m][slot2 >> 6] |= bit2;
-                ++cdCountSeg[top];
-            }
-        }
-        D.occBits[slot2 >> 6] |= bit2;
-        const std::size_t ipos = insertSortedPos(segments[top], recycled);
-        D.slotAt.insert(D.slotAt.begin() +
-                            static_cast<std::ptrdiff_t>(ipos),
-                        static_cast<std::uint16_t>(slot2));
-        onSegSizeChanged(top);
-        setLaneElig(top, slot2,
-                    top >= 1 &&
-                        laneEffDelay(D, slot2) < threshold(top - 1));
-        SCIQ_ASSERT(segments[top].size() <= params.segmentSize,
-                    "deadlock recovery overflowed the top segment");
-    }
-}
-
-ChainMembership
-SegmentedIq::debugMembership(const DynInstPtr &inst, int m) const
-{
-    if (!soa())
-        return inst->seg.memberships[m];
-    const unsigned k = static_cast<unsigned>(inst->seg.segment);
-    const auto &seg = segments[k];
-    for (std::size_t pos = 0; pos < seg.size(); ++pos) {
-        if (seg[pos].get() != inst.get())
-            continue;
-        const SegmentLanes &Lk = lanes[k];
-        const unsigned slot = Lk.slotAt[pos];
-        ChainMembership out;
-        out.chain = Lk.chain[m][slot];
-        out.gen = Lk.gen[m][slot];
-        out.appliedSeq = Lk.applied[m][slot];
-        out.delay = Lk.delay[m][slot];
-        out.headSegment = Lk.headSeg[m][slot];
-        out.selfTimed = (Lk.flags[m][slot] & kLaneSelfTimed) != 0;
-        out.suspended = (Lk.flags[m][slot] & kLaneSuspended) != 0;
-        return out;
-    }
-    SCIQ_ASSERT(false, "debugMembership: instruction not resident");
-    return {};
-}
-
-int
-SegmentedIq::debugEffectiveDelay(const DynInstPtr &inst) const
-{
-    if (!soa())
-        return effectiveDelay(*inst);
-    int d = 0;
-    for (int m = 0; m < inst->seg.numMemberships; ++m)
-        d = std::max(d, debugMembership(inst, m).delay);
-    return d;
 }
 
 } // namespace sciq

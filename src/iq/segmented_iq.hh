@@ -38,17 +38,10 @@
  * invariant auditor (audit=1) re-derives every index from a full
  * rescan each cycle and counts disagreements.
  *
- * Two engines share this class (DESIGN.md section 16).  The default
- * data-oriented engine (`iq_soa=1`) keeps per-entry scheduler state in
- * per-segment structure-of-arrays lanes addressed by stable slots,
- * with occupancy/eligibility/countdown bitmask words, batched
- * chain-wire delivery (one pass per chain over packed subscriber
- * records, with a per-(chain, segment) visible-prefix memo), and a
- * register-availability mask that lets independent instructions skip
- * the dispatch plan entirely.  The original object-per-entry engine
- * (`iq_soa=0`) is retained as the bit-identical differential
- * reference; architected stats, checkpoints and batch=K outputs are
- * byte-identical between the two.
+ * Per-entry scheduler state lives in each DynInst (`DynInst::seg`);
+ * segments hold seq-sorted instruction pointers.  Deterministic
+ * host-work counters (DESIGN.md section 16) count what the scheduler
+ * touches, so CI can gate on its cost exactly.
  */
 
 #ifndef SCIQ_IQ_SEGMENTED_IQ_HH
@@ -111,11 +104,10 @@ class SegmentedIq : public IqBase
     unsigned chainsPeak() const { return chains.peak(); }
 
     /**
-     * Deterministic host-work counters (DESIGN.md section 16.5).
-     * Plain integers outside the stats tree: they measure *host* effort
-     * (and so differ between the two engines), while the stats tree
-     * stays byte-identical across `iq_soa={0,1}`.  Exact and
-     * noise-free, so CI can gate on them where wall-clock would flake.
+     * Deterministic host-work counters (DESIGN.md section 16).  Plain
+     * integers outside the stats tree: they measure *host* effort, not
+     * the simulated machine.  Exact and noise-free, so CI can gate on
+     * them where wall-clock would flake.
      */
     struct WorkCounters
     {
@@ -142,15 +134,6 @@ class SegmentedIq : public IqBase
     };
     void setProfiling(bool on) { profiling = on; }
     const TickProfile &profile() const { return prof; }
-
-    /**
-     * Test/debug view of a resident instruction's membership `m` under
-     * either engine (the SoA engine keeps the authoritative copy in
-     * lanes; the AoS mirror inside DynInst is stale after insert).
-     * Index back-pointers are engine-internal and reported as -1.
-     */
-    ChainMembership debugMembership(const DynInstPtr &inst, int m) const;
-    int debugEffectiveDelay(const DynInstPtr &inst) const;
 
     /** Segments currently powered (== numSegments unless resizing). */
     unsigned activeSegmentCount() const { return activeSegments; }
@@ -249,18 +232,6 @@ class SegmentedIq : public IqBase
     };
 
     /**
-     * SoA-engine subscriber record: names a lane, not an object, so a
-     * chain's delivery pass never dereferences a DynInst.  Kept exact
-     * under moves via the lane's subIdx back-pointer.
-     */
-    struct SoaSub
-    {
-        std::uint16_t seg;   ///< segment index
-        std::uint16_t slot;  ///< lane slot within the segment
-        std::uint16_t mem;   ///< membership lane (0 or 1)
-    };
-
-    /**
      * Authoritative per-chain-wire state, read by dispatch when a new
      * member joins, plus the signal log in-flight entries consume and
      * the subscriber index delivery walks.  Subscriber lists survive
@@ -277,32 +248,8 @@ class SegmentedIq : public IqBase
         bool active = false;      ///< on the activeChains list
         std::uint64_t seqCounter = 0;
         SignalRing log;
-        std::vector<MemberSub> memberSubs;  ///< resident listeners (AoS)
-        std::vector<SoaSub> soaSubs;        ///< resident listeners (SoA)
+        std::vector<MemberSub> memberSubs;  ///< resident listeners
         std::vector<RegIndex> regSubs;      ///< regInfo listeners
-
-        /**
-         * Highest log seq proven visible per segment (SoA delivery).
-         * Visibility at a fixed segment is monotone in `cycle`, so the
-         * per-cycle probe resumes here instead of rescanning the log.
-         * Cleared on wire reuse (the seq numbering restarts).
-         */
-        std::vector<std::uint64_t> soaVisFloor;
-    };
-
-    /**
-     * Packed mirror of the ChainState scalars computePlan reads (16
-     * bytes, four per cache line), so the SoA dispatch path never
-     * touches the cold ChainState objects.  Written at wire (re)init,
-     * emitSignal, and deadlock recovery; audited against ChainState.
-     */
-    struct ChainHot
-    {
-        std::uint64_t seqCounter = 0;
-        std::uint32_t gen = 0;
-        std::int16_t headSegment = 0;
-        std::uint8_t selfTimed = 0;
-        std::uint8_t suspended = 0;
     };
 
     /** Dispatch-stage register information table entry (section 3.3). */
@@ -401,9 +348,6 @@ class SegmentedIq : public IqBase
     void onLeaveQueue(const DynInstPtr &inst);
 
     void insertSorted(std::vector<DynInstPtr> &seg, const DynInstPtr &inst);
-    /** As insertSorted, returning the insertion position (SoA slotAt). */
-    std::size_t insertSortedPos(std::vector<DynInstPtr> &seg,
-                                const DynInstPtr &inst);
 
     /** Move inst down one pipeline step; heads assert their wire. */
     void moveInst(const DynInstPtr &inst, unsigned from, unsigned to,
@@ -414,101 +358,10 @@ class SegmentedIq : public IqBase
 
     void runDeadlockRecovery(Cycle cycle);
 
-    // tick() substages of the reference (object-per-entry) engine.
-    void aosTickPromote(Cycle cycle);
-    void aosTickDeliver(Cycle cycle);
-    void aosTickCountdown();
-
-    // --- Data-oriented engine (DESIGN.md section 16) ---------------------
-    // Scheduler state lives in per-segment lanes addressed by *stable
-    // slots*: a slot is claimed at insert and keeps its index until the
-    // entry leaves the segment, so per-cycle sweeps never shift lane
-    // data.  The seq-sorted order the reference engine iterates in is
-    // kept as a parallel position->slot byte map (slotAt).
-
-    bool soa() const { return params.soaLayout; }
-
-    struct SegmentLanes
-    {
-        // Slot-indexed membership lanes (capacity = segmentSize each).
-        std::vector<std::int32_t> delay[2];
-        std::vector<ChainId> chain[2];
-        std::vector<std::uint32_t> gen[2];
-        std::vector<std::uint64_t> applied[2];
-        std::vector<std::int16_t> headSeg[2];
-        std::vector<std::uint8_t> flags[2];   ///< kLaneSelfTimed|kLaneSuspended
-        std::vector<std::int32_t> subIdx[2];  ///< back-ptr into soaSubs
-        std::vector<RegIndex> src[2];  ///< scoreboard-gating operands
-        std::vector<std::uint8_t> memCount;
-        std::vector<SeqNum> seq;       ///< lane<->instruction identity
-
-        // 64-wide bitmask words over slots.
-        std::vector<std::uint64_t> occBits;
-        std::vector<std::uint64_t> eligBits;
-        std::vector<std::uint64_t> cdBits[2];
-
-        /** Position (seq-sorted order) -> slot; parallel to the segment. */
-        std::vector<std::uint16_t> slotAt;
-    };
-
-    static constexpr std::uint8_t kLaneSelfTimed = 1;
-    static constexpr std::uint8_t kLaneSuspended = 2;
-
-    /** Effective (gating) delay of the lane at `slot`: max over lanes. */
-    static int laneEffDelay(const SegmentLanes &L, unsigned slot);
-
-    unsigned allocSlot(SegmentLanes &L) const;
-    void setLaneElig(unsigned k, unsigned slot, bool now);
-    void syncLaneCd(unsigned k, unsigned slot, int mem);
-
-    /** SoA counterpart of onLeaveQueue: drop one slot's references. */
-    void soaLeaveSlot(unsigned k, unsigned slot);
-
-    /** SoA counterpart of moveInst (erases/inserts position vectors). */
-    void soaMove(unsigned from, std::size_t pos, unsigned to, Cycle cycle);
-
-    /** First candidate segment > `from` under the live masks (0: none). */
-    unsigned nextCandidateSegment(unsigned from) const;
-
-    void soaInsert(const DynInstPtr &inst, int target, const Plan &plan);
-    void soaTickPromote(Cycle cycle);
-    void soaTickDeliver(Cycle cycle);
-    void soaTickCountdown();
-    void soaIssueSelect(Cycle cycle, const TryIssue &try_issue);
-    void soaSquash(SeqNum youngest_kept);
-    void soaRunDeadlockRecovery(Cycle cycle);
-
-    /** All gating arch sources available in the table (regAvail hit)? */
-    bool fastPlanEligible(const DynInst &inst) const;
-
-    // Shared transition helpers behind eligCount/eligMask/eligSegW.
-    void eligCountInc(unsigned k);
-    void eligCountDec(unsigned k);
-
-    /** Mirror a wire's ChainState scalars into chainHot. */
-    void syncChainHot(ChainId id);
-
-    std::vector<SegmentLanes> lanes;   ///< per segment (SoA engine only)
-    std::vector<ChainHot> chainHot;    ///< parallel to chainStates
-
-    /** Bit r: regInfo[r] names an available value (entryAvailable). */
-    std::uint64_t regAvail = ~0ULL;
-
-    // Per-(chain, segment) visible-prefix memo for batched delivery,
-    // valid while memoStamp[s] == memoToken (bumped per chain).
-    std::vector<std::uint32_t> memoStamp;
-    std::vector<std::uint32_t> memoEnd;
-    std::uint32_t memoToken = 0;
-
-    // Promotion-candidate masks generalised to any segment count (the
-    // legacy eligMask/nearFullMask cover k < 64 for the AoS engine).
-    std::vector<std::uint64_t> eligSegW;   ///< segments with candidates
-    std::vector<std::uint64_t> nearFullW;  ///< free < issueWidth
-    std::vector<std::uint64_t> roomyW;     ///< 2*free > 3*issueWidth
-    std::vector<unsigned> cdCountSeg;      ///< countdown lanes per segment
-
-    // SoA promotion scratch (positions/slots collected per round).
-    std::vector<std::uint32_t> scratchEligPos, scratchPushPos, movedOrig;
+    // tick() substages.
+    void tickPromote(Cycle cycle);
+    void tickDeliver(Cycle cycle);
+    void tickCountdown();
 
     mutable WorkCounters work;
     bool profiling = false;

@@ -136,25 +136,11 @@ void
 Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 {
     const unsigned n = static_cast<unsigned>(iq.segments.size());
-    const bool soa = iq.params.soaLayout;
 
     auto segDump = [&iq](unsigned k) {
         std::ostringstream os;
         iq.dumpSegment(os, k);
         return os.str();
-    };
-
-    // Authoritative view of membership m of the entry at (segment k,
-    // position pos).  The reference engine keeps it inside the DynInst;
-    // the SoA engine keeps it in the segment lanes and the DynInst copy
-    // is stale past the immutable chain/generation identity, so every
-    // per-entry check below reads through this view.
-    struct MemView
-    {
-        int delay;
-        ChainId chain;
-        std::uint32_t gen;
-        std::uint64_t appliedSeq;
     };
 
     for (unsigned k = 0; k < n; ++k) {
@@ -169,38 +155,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           segDump(k));
         }
 
-        // SoA: the position->slot map is parallel to the segment, names
-        // distinct occupied slots, and the occupancy words hold exactly
-        // those slots.
-        std::vector<char> slot_used;
-        if (soa) {
-            const auto &L = iq.lanes[k];
-            if (L.slotAt.size() != seg.size()) {
-                violation(occIndex, "slot map parallel to its segment",
-                          cycle,
-                          "segment " + std::to_string(k) + " holds " +
-                              std::to_string(seg.size()) +
-                              " entries but maps " +
-                              std::to_string(L.slotAt.size()));
-            }
-            std::size_t occ_bits = 0;
-            for (std::uint64_t w : L.occBits)
-                occ_bits +=
-                    static_cast<std::size_t>(__builtin_popcountll(w));
-            if (occ_bits != seg.size()) {
-                violation(occIndex, "occupancy bits == segment size",
-                          cycle,
-                          "segment " + std::to_string(k) + " holds " +
-                              std::to_string(seg.size()) +
-                              " entries but sets " +
-                              std::to_string(occ_bits) + " bits");
-            }
-            slot_used.assign(iq.params.segmentSize, 0);
-        }
-
-        for (std::size_t pos = 0; pos < seg.size(); ++pos) {
-            const auto &inst = seg[pos];
-
+        for (const auto &inst : seg) {
             if (inst->seg.segment != static_cast<int>(k)) {
                 violation(segmentOverflow,
                           "entry segment field matches its segment", cycle,
@@ -211,85 +166,13 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               segDump(k));
             }
 
-            unsigned slot = 0;
-            bool lane_ok = !soa;
-            if (soa && pos < iq.lanes[k].slotAt.size()) {
-                const auto &L = iq.lanes[k];
-                slot = L.slotAt[pos];
-                const bool occupied =
-                    slot < iq.params.segmentSize &&
-                    ((L.occBits[slot >> 6] >> (slot & 63)) & 1) != 0;
-                if (!occupied || slot_used[slot]) {
-                    violation(occIndex,
-                              "slot map names distinct occupied slots",
-                              cycle,
-                              "segment " + std::to_string(k) + " pos " +
-                                  std::to_string(pos) + " slot " +
-                                  std::to_string(slot));
-                } else {
-                    slot_used[slot] = 1;
-                    lane_ok = true;
-                    if (L.seq[slot] != inst->seq ||
-                        static_cast<int>(L.memCount[slot]) !=
-                            inst->seg.numMemberships) {
-                        violation(occIndex,
-                                  "lane identity matches its instruction",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " lane seq " +
-                                      std::to_string(L.seq[slot]) +
-                                      " memCount " +
-                                      std::to_string(L.memCount[slot]));
-                    }
-                    const auto srcs = iq.iqSources(*inst);
-                    if (L.src[0][slot] != srcs[0] ||
-                        L.src[1][slot] != srcs[1]) {
-                        violation(occIndex,
-                                  "lane operands match the instruction",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " in segment " + std::to_string(k));
-                    }
-                }
-            }
-            if (soa && !lane_ok)
-                continue;  // lane reads below would be unreliable
-
             for (int m = 0; m < inst->seg.numMemberships; ++m) {
-                MemView v{};
-                if (soa) {
-                    const auto &L = iq.lanes[k];
-                    v.delay = static_cast<int>(L.delay[m][slot]);
-                    v.chain = L.chain[m][slot];
-                    v.gen = L.gen[m][slot];
-                    v.appliedSeq = L.applied[m][slot];
-                    // Chain identity is fixed at dispatch; the lane and
-                    // the DynInst mirror must agree for ever.
-                    const ChainMembership &mir = inst->seg.memberships[m];
-                    if (v.chain != mir.chain || v.gen != mir.gen) {
-                        violation(occIndex,
-                                  "lane chain identity matches dispatch",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " lane chain " +
-                                      std::to_string(v.chain) +
-                                      " dispatched " +
-                                      std::to_string(mir.chain));
-                    }
-                } else {
-                    const ChainMembership &mem = inst->seg.memberships[m];
-                    v.delay = mem.delay;
-                    v.chain = mem.chain;
-                    v.gen = mem.gen;
-                    v.appliedSeq = mem.appliedSeq;
-                }
-
-                if (v.delay < 0) {
+                const ChainMembership &mem = inst->seg.memberships[m];
+                if (mem.delay < 0) {
                     violation(negativeDelay, "chain delay >= 0", cycle,
                               "seq " + std::to_string(inst->seq) +
                                   " membership " + std::to_string(m) +
-                                  " delay " + std::to_string(v.delay) +
+                                  " delay " + std::to_string(mem.delay) +
                                   "\n" + segDump(k));
                 }
 
@@ -301,24 +184,24 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 // (Signals generated after this cycle's delivery pass -
                 // e.g. load-resume events from the LSQ - are legitimately
                 // pending, hence the strict comparison.)
-                if (v.chain == kNoChain)
+                if (mem.chain == kNoChain)
                     continue;
-                const auto &cs = iq.stateOf(v.chain);
-                if (cs.gen != v.gen)
+                const auto &cs = iq.stateOf(mem.chain);
+                if (cs.gen != mem.gen)
                     continue;
-                if (v.appliedSeq > cs.seqCounter) {
+                if (mem.appliedSeq > cs.seqCounter) {
                     violation(wireDelivery,
                               "applied signal count <= signals generated",
                               cycle,
                               "seq " + std::to_string(inst->seq) +
                                   " applied " +
-                                  std::to_string(v.appliedSeq) + " > " +
+                                  std::to_string(mem.appliedSeq) + " > " +
                                   std::to_string(cs.seqCounter) + "\n" +
                                   segDump(k));
                 }
                 for (std::size_t si = 0; si < cs.log.size(); ++si) {
                     const auto &sig = cs.log.at(si);
-                    if (sig.seq <= v.appliedSeq)
+                    if (sig.seq <= mem.appliedSeq)
                         continue;
                     const Cycle lag =
                         static_cast<int>(k) > sig.originSegment
@@ -333,7 +216,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                                 " in segment " + std::to_string(k) +
                                 " missed signal " +
                                 std::to_string(sig.seq) + " of chain " +
-                                std::to_string(v.chain) +
+                                std::to_string(mem.chain) +
                                 " (generated cycle " +
                                 std::to_string(sig.cycle) +
                                 " at segment " +
@@ -401,9 +284,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     // --- Incremental scheduling indices vs. full rescan (section 11) ---
     // Every index the event-driven tick consults is a redundant view
     // over per-entry state; re-derive each one the slow way and count
-    // any disagreement.  The SoA engine keeps the per-entry state in
-    // lanes and the indices in bitmask words; the checks below follow
-    // whichever representation the selected engine actually reads.
+    // any disagreement.
 
     // O(1) occupancy.
     std::size_t occ_scan = 0;
@@ -422,88 +303,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     for (unsigned k = 0; k < n; ++k) {
         unsigned elig_scan = 0;
         const auto &seg = iq.segments[k];
-        for (std::size_t pos = 0; pos < seg.size(); ++pos) {
-            const auto &inst = seg[pos];
-
-            if (soa) {
-                const auto &L = iq.lanes[k];
-                if (pos >= L.slotAt.size())
-                    break;  // parallelism violation already counted
-                const unsigned slot = L.slotAt[pos];
-                if (slot >= iq.params.segmentSize)
-                    continue;
-
-                const bool elig =
-                    k >= 1 && SegmentedIq::laneEffDelay(L, slot) <
-                                  SegmentedIq::threshold(k - 1);
-                if (elig)
-                    ++elig_scan;
-                const bool elig_bit =
-                    ((L.eligBits[slot >> 6] >> (slot & 63)) & 1) != 0;
-                if (elig != elig_bit) {
-                    violation(promoIndex,
-                              "promotion-eligibility bit == rescan",
-                              cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " bit " + std::to_string(elig_bit) +
-                                  " but predicate says " +
-                                  std::to_string(elig) + "\n" +
-                                  segDump(k));
-                }
-
-                for (int m = 0; m < static_cast<int>(L.memCount[slot]);
-                     ++m) {
-                    const ChainId ch = L.chain[m][slot];
-                    const std::int32_t si = L.subIdx[m][slot];
-                    const bool on_wire = ch != kNoChain;
-                    if (on_wire != (si >= 0)) {
-                        violation(subIndex,
-                                  "membership subscribed iff on a wire",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " chain " + std::to_string(ch) +
-                                      " subIdx " + std::to_string(si));
-                    } else if (on_wire) {
-                        ++subs_scan;
-                        const auto &subs = iq.stateOf(ch).soaSubs;
-                        const auto idx = static_cast<std::size_t>(si);
-                        if (idx >= subs.size() || subs[idx].seg != k ||
-                            subs[idx].slot != slot ||
-                            static_cast<int>(subs[idx].mem) != m) {
-                            violation(subIndex,
-                                      "subscriber record is exact", cycle,
-                                      "seq " + std::to_string(inst->seq) +
-                                          " membership " +
-                                          std::to_string(m) + " subIdx " +
-                                          std::to_string(si));
-                        }
-                    }
-
-                    const std::uint8_t f = L.flags[m][slot];
-                    const bool want_cd =
-                        (f & SegmentedIq::kLaneSelfTimed) != 0 &&
-                        (f & SegmentedIq::kLaneSuspended) == 0 &&
-                        L.delay[m][slot] > 0;
-                    const bool cd_bit =
-                        ((L.cdBits[m][slot >> 6] >> (slot & 63)) & 1) !=
-                        0;
-                    if (want_cd != cd_bit) {
-                        violation(countdownIndex,
-                                  "membership counts down iff self-timed",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " bit " + std::to_string(cd_bit) +
-                                      " predicate " +
-                                      std::to_string(want_cd));
-                    }
-                    if (want_cd)
-                        ++cds_scan;
-                }
-                continue;
-            }
-
+        for (const auto &inst : seg) {
             const bool elig =
                 k >= 1 &&
                 iq.effectiveDelay(*inst) < SegmentedIq::threshold(k - 1);
@@ -582,37 +382,6 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           std::to_string(elig_scan) + "\n" + segDump(k));
         }
 
-        if (soa) {
-            // Bit totals catch bits leaked on *freed* slots, which the
-            // resident-lane scan above cannot see.
-            const auto &L = iq.lanes[k];
-            std::size_t elig_bits = 0;
-            for (std::uint64_t w : L.eligBits)
-                elig_bits +=
-                    static_cast<std::size_t>(__builtin_popcountll(w));
-            if (elig_bits != iq.eligCount[k]) {
-                violation(promoIndex,
-                          "eligibility bits == tracked count", cycle,
-                          "segment " + std::to_string(k) + " sets " +
-                              std::to_string(elig_bits) +
-                              " bits, tracks " +
-                              std::to_string(iq.eligCount[k]));
-            }
-            std::size_t cd_bits = 0;
-            for (int m = 0; m < 2; ++m) {
-                for (std::uint64_t w : L.cdBits[m])
-                    cd_bits +=
-                        static_cast<std::size_t>(__builtin_popcountll(w));
-            }
-            if (cd_bits != iq.cdCountSeg[k]) {
-                violation(countdownIndex,
-                          "countdown bits == tracked count", cycle,
-                          "segment " + std::to_string(k) + " sets " +
-                              std::to_string(cd_bits) + " bits, tracks " +
-                              std::to_string(iq.cdCountSeg[k]));
-            }
-        }
-
         if (k < 64) {
             const bool mask_bit = (iq.eligMask >> k) & 1;
             if (mask_bit != (iq.eligCount[k] > 0)) {
@@ -634,50 +403,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               std::to_string(iq.params.segmentSize));
             }
         }
-
-        // Generalised candidate/occupancy words (both engines maintain
-        // them; the SoA promotion pass steers by them).
-        const bool word_elig =
-            ((iq.eligSegW[k >> 6] >> (k & 63)) & 1) != 0;
-        if (word_elig != (iq.eligCount[k] > 0)) {
-            violation(promoIndex, "candidate word matches counts", cycle,
-                      "segment " + std::to_string(k) + " bit " +
-                          std::to_string(word_elig) + " count " +
-                          std::to_string(iq.eligCount[k]));
-        }
-        const std::size_t free_now =
-            static_cast<std::size_t>(iq.params.segmentSize) - seg.size();
-        const bool near_full_w = free_now < iq.params.issueWidth;
-        if (near_full_w !=
-            (((iq.nearFullW[k >> 6] >> (k & 63)) & 1) != 0)) {
-            violation(promoIndex, "near-full word matches occupancy",
-                      cycle,
-                      "segment " + std::to_string(k) + " holds " +
-                          std::to_string(seg.size()) + " of " +
-                          std::to_string(iq.params.segmentSize));
-        }
-        const bool roomy =
-            free_now * 2 >
-            3 * static_cast<std::size_t>(iq.params.issueWidth);
-        if (roomy != (((iq.roomyW[k >> 6] >> (k & 63)) & 1) != 0)) {
-            violation(promoIndex, "roomy word matches occupancy", cycle,
-                      "segment " + std::to_string(k) + " holds " +
-                          std::to_string(seg.size()) + " of " +
-                          std::to_string(iq.params.segmentSize));
-        }
     }
 
     // Back-pointer exactness above makes the per-list maps injective,
     // so matching totals prove the lists hold exactly the resident
     // references - no leaks pinning recycled pool slots.
-    if (soa) {
-        if (!iq.memberCountdown.empty()) {
-            violation(countdownIndex,
-                      "reference countdown list idle under SoA", cycle,
-                      "list holds " +
-                          std::to_string(iq.memberCountdown.size()));
-        }
-    } else if (cds_scan != iq.memberCountdown.size()) {
+    if (cds_scan != iq.memberCountdown.size()) {
         violation(countdownIndex, "countdown list size == rescan", cycle,
                   "list holds " +
                       std::to_string(iq.memberCountdown.size()) +
@@ -687,7 +418,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     std::size_t active_flags = 0;
     for (std::size_t c = 0; c < iq.chainStates.size(); ++c) {
         const auto &cs = iq.chainStates[c];
-        subs_held += soa ? cs.soaSubs.size() : cs.memberSubs.size();
+        subs_held += cs.memberSubs.size();
         if (cs.active)
             ++active_flags;
         if (!cs.log.empty() && !cs.active) {
@@ -709,28 +440,6 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           std::to_string(cs.gen) + " allocator gen " +
                           std::to_string(iq.chains.generation(id)));
         }
-        // The packed mirror dispatch reads (SoA fast path) must track
-        // the wire scalars at every mutation site, in either engine.
-        if (c >= iq.chainHot.size()) {
-            violation(subIndex, "chain-hot mirror allocated", cycle,
-                      "chain " + std::to_string(c) +
-                          " beyond mirror of " +
-                          std::to_string(iq.chainHot.size()));
-        } else {
-            const auto &hot = iq.chainHot[c];
-            if (hot.seqCounter != cs.seqCounter || hot.gen != cs.gen ||
-                static_cast<int>(hot.headSegment) != cs.headSegment ||
-                (hot.selfTimed != 0) != cs.selfTimed ||
-                (hot.suspended != 0) != cs.suspended) {
-                violation(subIndex, "chain-hot mirror matches wire state",
-                          cycle,
-                          "chain " + std::to_string(c) + " mirror gen " +
-                              std::to_string(hot.gen) + " head " +
-                              std::to_string(hot.headSegment) +
-                              " vs state gen " + std::to_string(cs.gen) +
-                              " head " + std::to_string(cs.headSegment));
-            }
-        }
     }
     if (subs_held != subs_scan) {
         violation(subIndex, "subscriber list sizes == rescan", cycle,
@@ -744,8 +453,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                       " chains are flagged active");
     }
 
-    // Register-table side: subscription and countdown back-pointers,
-    // plus the availability mask the fast-plan path consults.
+    // Register-table side: subscription and countdown back-pointers.
     std::size_t reg_cds_scan = 0;
     for (std::size_t r = 0; r < iq.regInfo.size(); ++r) {
         const auto &e = iq.regInfo[r];
@@ -788,15 +496,6 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           "regInfo[" + std::to_string(r) + "] cdPos " +
                               std::to_string(cd));
             }
-        }
-
-        const bool avail = SegmentedIq::entryAvailable(e);
-        if (avail != (((iq.regAvail >> r) & 1) != 0)) {
-            violation(readyIndex,
-                      "register-availability mask == rescan", cycle,
-                      "regInfo[" + std::to_string(r) + "] available " +
-                          std::to_string(avail) + " but mask bit is " +
-                          std::to_string((iq.regAvail >> r) & 1));
         }
     }
     if (reg_cds_scan != iq.regCountdown.size()) {

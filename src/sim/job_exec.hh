@@ -2,8 +2,8 @@
  * @file
  * Shared fault-containment plumbing for sweep job execution: exception
  * classification through the error taxonomy, Failed/Timeout result
- * rows, and failure-artifact persistence (DESIGN.md §13).  Used by both
- * the per-job path (sweep.cc) and the batched lockstep path (batch.cc)
+ * rows, and failure-artifact persistence (DESIGN.md §13).  Used by the
+ * in-process sweep (sweep.cc) and the sharded sweep service (shard.cc)
  * so a contained failure looks identical however the job was executed.
  */
 

@@ -28,7 +28,8 @@ sweepKey(const SimConfig &config)
         os << " seg_size=" << iq.segmentSize << " chains=" << iq.maxChains
            << " hmp=" << iq.useHmp << " lrp=" << iq.useLrp
            << " pushdown=" << iq.enablePushdown
-           << " bypass=" << iq.enableBypass << " resize=" << iq.dynamicResize;
+           << " bypass=" << iq.enableBypass << " resize=" << iq.dynamicResize
+           << " resize_interval=" << iq.resizeInterval;
         break;
       case IqKind::Prescheduled:
         os << " line_width=" << iq.preschedLineWidth
@@ -40,7 +41,8 @@ sweepKey(const SimConfig &config)
       case IqKind::Ideal:
         break;
     }
-    os << " ff=" << config.fastForward << " max_cycles=" << config.maxCycles;
+    os << " wrong_path=" << c.modelWrongPath << " ff=" << config.fastForward
+       << " max_cycles=" << config.maxCycles;
     return os.str();
 }
 

@@ -43,13 +43,10 @@ configSpec(const SimConfig &config)
 {
     std::ostringstream os;
     os << sweepKey(config)
-       << " wrong_path=" << config.core.modelWrongPath
-       << " resize_interval=" << config.core.iq.resizeInterval
        << " watchdog_cycles=" << config.core.watchdogCycles
        << " validate=" << config.validate << " audit=" << config.audit
        << " audit_panic=" << config.auditPanic
-       << " bb_cache=" << config.bbCache
-       << " iq_soa=" << config.core.iq.soaLayout;
+       << " bb_cache=" << config.bbCache;
     // Architected fault knobs travel with the job so negative tests
     // behave the same distributed as local; budgeted injector faults
     // stay worker-local by design.

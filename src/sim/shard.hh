@@ -67,11 +67,11 @@ unsigned shardOf(const std::string &sweep_key, unsigned shards);
 /**
  * Complete wire form of a configuration: sweepKey(config) plus every
  * other apply()-understood key that affects the run's reported result
- * (validate/audit flags, wrong-path modelling, resize interval,
- * watchdog window, engine selectors).  configFromSpec(configSpec(c))
- * reproduces c's architected behaviour exactly; host-local settings
- * (checkpoint paths/caches, fault injectors, wall-clock deadlines) are
- * deliberately not part of the spec.
+ * (validate/audit flags, watchdog window, functional-path selector).
+ * configFromSpec(configSpec(c)) reproduces c's architected behaviour
+ * exactly; host-local settings (checkpoint paths/caches, fault
+ * injectors, wall-clock deadlines) are deliberately not part of the
+ * spec.
  */
 std::string configSpec(const SimConfig &config);
 
@@ -269,7 +269,7 @@ struct ServeStats
  * repeated lease drops) are contained into RunResult::outcome; only
  * harness failures (unusable socket/journal, fleet death) propagate.
  * Wall-clock deadlines are rejected up front: a distributed sweep has
- * no deterministic notion of them (same rule as lockstep batching).
+ * no deterministic notion of them.
  */
 std::vector<RunResult> serveSweep(const std::vector<SimConfig> &configs,
                                   const ServeOptions &options,

@@ -65,7 +65,6 @@ SimConfig::apply(const ConfigMap &cfg)
     fastForward = static_cast<std::uint64_t>(
         cfg.getCount("ff", static_cast<std::int64_t>(fastForward)));
     bbCache = cfg.getBool("bb_cache", bbCache);
-    core.iq.soaLayout = cfg.getBool("iq_soa", core.iq.soaLayout);
     ckptFile = cfg.getString("ckpt", ckptFile);
     ckptDir = cfg.getString("ckpt_dir", ckptDir);
 

@@ -120,9 +120,8 @@ struct RunResult
     // Deterministic host-work counters of the segmented IQ scheduler
     // (DESIGN.md section 16.5; zero for other IQ kinds).  Exact and
     // noise-free - unlike the wall-clock numbers above they are
-    // reproducible bit for bit - but they measure *host* effort, so
-    // they differ between the two segmented engines (iq_soa=) and are
-    // excluded from cross-engine identity comparisons.
+    // reproducible bit for bit - but they measure *host* effort, not
+    // the simulated machine.
     std::uint64_t iqSignalDeliveries = 0;  ///< chain-log entries examined
     std::uint64_t iqPlanCalls = 0;         ///< full computePlan executions
     std::uint64_t iqSegmentsScanned = 0;   ///< promotion-pass segment visits
@@ -150,8 +149,8 @@ class Simulator
     RunResult run();
 
     /**
-     * Split run() for callers that drive the core loop themselves
-     * (batched lockstep simulation, DESIGN.md §15): prepare() performs
+     * Split run() for callers that time or trace the phases separately
+     * (the repository benchmark driver): prepare() performs
      * the configured fast-forward (no-op when fastForward is 0) and
      * returns instructions skipped; collect() extracts the RunResult
      * after the caller has run the core to completion.  run() is

@@ -14,7 +14,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "sim/batch.hh"
 #include "sim/job_exec.hh"
 #include "sim/journal.hh"
 #include "sim/run_result_fields.hh"
@@ -88,102 +87,6 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
             options.progress(n, total, results[i]);
         }
     };
-
-    // Batched lockstep execution (DESIGN.md §15): group batchable jobs
-    // that may share a fetch stream into units of up to options.batch
-    // configs and run each unit in one lockstep pass.  Results are
-    // journaled and reported per config exactly as in the per-job path;
-    // batch <= 1 leaves that path below completely untouched.
-    if (options.batch > 1) {
-        std::vector<std::vector<std::size_t>> units;
-        std::vector<std::pair<std::string, std::vector<std::size_t>>> groups;
-        for (std::size_t i : pending) {
-            if (!lockstepBatchable(configs[i])) {
-                units.push_back({i});
-                continue;
-            }
-            const std::string bkey = lockstepBatchKey(configs[i]);
-            auto it = std::find_if(
-                groups.begin(), groups.end(),
-                [&bkey](const auto &g) { return g.first == bkey; });
-            if (it == groups.end()) {
-                groups.emplace_back(bkey, std::vector<std::size_t>{});
-                it = groups.end() - 1;
-            }
-            it->second.push_back(i);
-        }
-        for (const auto &group : groups) {
-            const std::vector<std::size_t> &members = group.second;
-            for (std::size_t at = 0; at < members.size();
-                 at += options.batch) {
-                const std::size_t end =
-                    std::min(members.size(), at + options.batch);
-                units.emplace_back(members.begin() + at,
-                                   members.begin() + end);
-            }
-        }
-
-        auto runUnit = [&](const std::vector<std::size_t> &unit) {
-            if (unit.size() == 1) {
-                runOne(unit[0]);
-                return;
-            }
-            std::vector<SimConfig> unitConfigs;
-            std::vector<std::string> unitKeys;
-            for (std::size_t i : unit) {
-                unitConfigs.push_back(configs[i]);
-                unitKeys.push_back(keys[i]);
-            }
-            std::vector<RunResult> rs =
-                runLockstepBatch(unitConfigs, unitKeys, unit, options);
-            for (std::size_t j = 0; j < unit.size(); ++j) {
-                const std::size_t i = unit[j];
-                if (journal)
-                    journal->record(i, keys[i], rs[j]);
-                results[i] = std::move(rs[j]);
-                const std::size_t n = done.fetch_add(1) + 1;
-                if (options.progress) {
-                    std::lock_guard<std::mutex> lock(progressMutex);
-                    options.progress(n, total, results[i]);
-                }
-            }
-        };
-
-        const unsigned unitWorkers = static_cast<unsigned>(
-            std::min<std::size_t>(jobs_, units.size()));
-        if (unitWorkers <= 1) {
-            for (const auto &unit : units)
-                runUnit(unit);
-            return results;
-        }
-
-        std::atomic<std::size_t> nextUnit{0};
-        std::vector<std::exception_ptr> unitErrors(unitWorkers);
-        auto unitWorker = [&](unsigned id) {
-            try {
-                for (;;) {
-                    const std::size_t slot =
-                        nextUnit.fetch_add(1, std::memory_order_relaxed);
-                    if (slot >= units.size())
-                        return;
-                    runUnit(units[slot]);
-                }
-            } catch (...) {
-                unitErrors[id] = std::current_exception();
-            }
-        };
-        std::vector<std::thread> unitThreads;
-        unitThreads.reserve(unitWorkers);
-        for (unsigned id = 0; id < unitWorkers; ++id)
-            unitThreads.emplace_back(unitWorker, id);
-        for (auto &t : unitThreads)
-            t.join();
-        for (auto &err : unitErrors) {
-            if (err)
-                std::rethrow_exception(err);
-        }
-        return results;
-    }
 
     const unsigned workers = static_cast<unsigned>(
         std::min<std::size_t>(jobs_, pending.size()));

@@ -67,17 +67,6 @@ class SweepRunner
          */
         std::string artifactDir;
 
-        /**
-         * Lockstep batch width (key: `batch=`): group same-workload,
-         * same-warm-up jobs into units of up to this many configs and
-         * advance each unit over one shared correct-path fetch stream
-         * (DESIGN.md §15).  Per-config stats, sweep JSON and journal
-         * records are bit-identical to an unbatched run; only host
-         * wall-clock fields differ.  0/1 = off (the per-job path runs
-         * unchanged).
-         */
-        unsigned batch = 1;
-
         Progress progress;
     };
 

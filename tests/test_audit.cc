@@ -3,15 +3,19 @@
  * Invariant-auditor sweep: every workload, both IQ models, two IQ
  * sizes, all with `audit=1` -- a healthy simulator must report zero
  * violations.  The negative tests prove the auditor actually fires by
- * enabling the test-only over-promotion fault injection.
+ * enabling the test-only over-promotion fault injection, and the
+ * transparency tests prove it only observes: with audit=1 the rest of
+ * the stats tree is byte-identical to an unaudited run.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <tuple>
 
 #include "common/errors.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/audit.hh"
 #include "sim/simulator.hh"
@@ -122,5 +126,80 @@ TEST(AuditNegative, PanicModeThrowsOnFirstViolation)
         EXPECT_FALSE(e.context().empty()) << "panic path must capture a dump";
     }
 }
+
+/**
+ * Flatten a parsed stats tree into one "path value" line per leaf, with
+ * exact number formatting, skipping the top-level audit group.
+ */
+void
+flattenStats(const json::Value &v, const std::string &path,
+             std::ostringstream &out)
+{
+    if (v.isObject()) {
+        for (const auto &[key, child] : v.asObject()) {
+            if (path.empty() && key == "audit")
+                continue;
+            flattenStats(child, path + "/" + key, out);
+        }
+    } else if (v.isArray()) {
+        for (std::size_t i = 0; i < v.size(); ++i)
+            flattenStats(v.at(i), path + "/" + std::to_string(i), out);
+    } else {
+        out << path << ' ';
+        if (v.isNumber())
+            json::writeNumber(out, v.asNumber());
+        else if (v.isString())
+            json::writeString(out, v.asString());
+        else if (v.isBool())
+            out << v.asBool();
+        else
+            out << "null";
+        out << '\n';
+    }
+}
+
+/** Run `cfg` and return its stats tree without the audit group. */
+std::string
+statsWithoutAudit(const SimConfig &cfg, RunResult &r)
+{
+    Simulator sim(cfg);
+    r = sim.run();
+    std::ostringstream json_os;
+    sim.core().statGroup().dumpJson(json_os);
+    std::ostringstream out;
+    flattenStats(json::parse(json_os.str()), "", out);
+    return out.str();
+}
+
+class AuditTransparency : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(AuditTransparency, StatsTreesByteIdenticalWithAuditOn)
+{
+    const std::string workload = GetParam();
+    for (unsigned size : {64u, 256u}) {
+        SimConfig cfg = makeSegmentedConfig(size, 64, true, true, workload);
+        cfg.wl.iterations = 300;
+        cfg.fastForward = 1500;
+        cfg.validate = true;
+
+        RunResult plain;
+        const std::string plain_tree = statsWithoutAudit(cfg, plain);
+        cfg.audit = true;
+        RunResult audited;
+        const std::string audited_tree = statsWithoutAudit(cfg, audited);
+
+        ASSERT_TRUE(plain.validated) << size;
+        ASSERT_TRUE(audited.validated) << size;
+        EXPECT_EQ(audited.auditViolations, 0u) << size;
+        EXPECT_EQ(plain.cycles, audited.cycles) << size;
+        EXPECT_EQ(plain_tree, audited_tree) << "iq_size " << size;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, AuditTransparency,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &info) { return info.param; });
 
 } // namespace

@@ -7,7 +7,8 @@
  *    the first blob bit for bit;
  *  - a restored Simulator run must produce byte-identical stats trees
  *    to a cold fast-forwarded run, for every workload on both the
- *    segmented and the ideal IQ (the module's correctness contract);
+ *    segmented and the ideal IQ (the module's correctness contract),
+ *    including when the warm-up was produced under a different IQ;
  *  - corrupted, truncated, version-bumped, mislabelled and mismatched
  *    blobs are rejected with specific CheckpointError messages.
  */
@@ -389,6 +390,64 @@ INSTANTIATE_TEST_SUITE_P(
                     ? "_segmented"
                     : "_ideal");
     });
+
+// ---------------------------------------------------------------------
+// Interchange across IQ designs: a sweep's checkpoint cache shares one
+// warm-up among every config of a workload, so warm state must carry
+// no fingerprint of the IQ it was produced under.
+
+TEST(CheckpointInterchange, WarmBlobsAreIqIndependent)
+{
+    for (const std::string &wl : {std::string("swim"), std::string("vortex")}) {
+        SimConfig ideal = testConfig(wl, IqKind::Ideal);
+        ideal.core.iq.numEntries = 64;
+        SimConfig seg = testConfig(wl, IqKind::Segmented);
+        seg.core.iq.numEntries = 256;
+        Program prog = buildWorkload(wl, ideal.wl);
+
+        FunctionalCore golden0(prog);
+        OooCore core0(prog, ideal.core);
+        FastForwardStats ff0 = fastForward(golden0, core0, ideal.fastForward);
+        const std::string blob0 = saveCheckpoint(ideal, golden0, core0, ff0);
+
+        FunctionalCore golden1(prog);
+        OooCore core1(prog, seg.core);
+        FastForwardStats ff1 = fastForward(golden1, core1, seg.fastForward);
+        const std::string blob1 = saveCheckpoint(seg, golden1, core1, ff1);
+
+        EXPECT_EQ(blob0, blob1) << wl;
+    }
+}
+
+TEST(CheckpointInterchange, RestoreAcrossIqKindsMatchesColdBitForBit)
+{
+    // The ideal IQ produces the warm checkpoint; the segmented IQ
+    // restores it.  The restored run must match a cold segmented run
+    // byte for byte.
+    SimConfig producer_cfg = testConfig("mgrid", IqKind::Ideal);
+    SimConfig consumer_cfg = testConfig("mgrid", IqKind::Segmented);
+    auto cache = std::make_shared<CheckpointCache>();  // memory-only
+    producer_cfg.ckptCache = cache;
+    consumer_cfg.ckptCache = cache;
+
+    Simulator producer(producer_cfg);
+    RunResult first = producer.run();
+    ASSERT_TRUE(first.validated);
+    EXPECT_FALSE(first.ckptRestored);
+
+    Simulator restored(consumer_cfg);
+    RunResult warm = restored.run();
+    ASSERT_TRUE(warm.validated);
+    EXPECT_TRUE(warm.ckptRestored);
+
+    Simulator cold(testConfig("mgrid", IqKind::Segmented));
+    RunResult coldR = cold.run();
+    ASSERT_TRUE(coldR.validated);
+
+    EXPECT_EQ(coldR.cycles, warm.cycles);
+    EXPECT_EQ(coldR.insts, warm.insts);
+    EXPECT_EQ(statsDump(cold), statsDump(restored));
+}
 
 // ---------------------------------------------------------------------
 // Rejection paths.

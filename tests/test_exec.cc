@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <limits>
+#include <type_traits>
 
 #include "isa/exec.hh"
 #include "isa/sparse_memory.hh"
@@ -31,12 +32,26 @@ class TestContext : public ExecContext
     SparseMemory mem;
 };
 
+/**
+ * One ALU case.  gtest names each case by a byte dump of this struct,
+ * so the bytes between `op` and `a` are an explicit zeroed member:
+ * left as padding they would hold stack garbage and the test names
+ * would change from build to build.
+ */
 struct AluCase
 {
+    AluCase(Opcode op, std::uint64_t a, std::uint64_t b,
+            std::uint64_t expected)
+        : op(op), a(a), b(b), expected(expected)
+    {
+    }
+
     Opcode op;
+    std::uint8_t zero[alignof(std::uint64_t) - sizeof(Opcode)] = {};
     std::uint64_t a, b;
     std::uint64_t expected;
 };
+static_assert(std::has_unique_object_representations_v<AluCase>);
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {

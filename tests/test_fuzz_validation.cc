@@ -8,16 +8,23 @@
  * This is the heavy hammer for pipeline bookkeeping bugs - squash
  * recovery, LSQ ordering, rename undo, chain teardown - because random
  * programs explore corner interleavings no hand-written test does.
+ * Beyond the fixed per-design configs, a config-space sweep draws
+ * random segmented-IQ geometries and enhancement mixes.  Every core
+ * runs under the cycle-level invariant auditor, which must report
+ * zero violations.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/random.hh"
 #include "core/ooo_core.hh"
 #include "isa/asm_builder.hh"
 #include "isa/functional_core.hh"
+#include "sim/audit.hh"
 
 using namespace sciq;
 
@@ -159,9 +166,40 @@ randomProgram(std::uint64_t seed)
     return b.build("fuzz" + std::to_string(seed));
 }
 
+constexpr int kFixedVariants = 6;
+
+/**
+ * A seeded random segmented IQ: segment size, segment count, chain
+ * wires and every enhancement drawn independently.
+ */
+CoreParams
+randomSegmentedConfig(std::uint64_t draw)
+{
+    Random rng(draw);
+    auto pick = [&rng](std::initializer_list<int> options) {
+        return options.begin()[rng.below(options.size())];
+    };
+    CoreParams p;
+    p.iqKind = IqKind::Segmented;
+    p.iq.segmentSize = static_cast<unsigned>(pick({2, 4, 8, 16, 32}));
+    p.iq.numEntries =
+        p.iq.segmentSize * static_cast<unsigned>(rng.range(1, 16));
+    p.iq.maxChains = pick({-1, 4, 8, 32, 128});
+    p.iq.useHmp = rng.chance(0.5);
+    p.iq.useLrp = rng.chance(0.5);
+    p.iq.enablePushdown = rng.chance(0.5);
+    p.iq.enableBypass = rng.chance(0.5);
+    p.iq.dynamicResize = rng.chance(0.5);
+    p.iq.resizeInterval = static_cast<unsigned>(pick({16, 32, 1000}));
+    return p;
+}
+
+/** Variants below kFixedVariants are fixed designs; above, draws. */
 CoreParams
 configFor(int variant)
 {
+    if (variant >= kFixedVariants)
+        return randomSegmentedConfig(static_cast<std::uint64_t>(variant));
     CoreParams p;
     switch (variant) {
       case 0:
@@ -204,9 +242,27 @@ configFor(int variant)
     return p;
 }
 
-const char *kVariantNames[] = {"ideal",        "segmented_comb",
-                               "segmented_starved", "prescheduled",
-                               "fifo",         "segmented_resize"};
+const char *kVariantNames[kFixedVariants] = {
+    "ideal",        "segmented_comb", "segmented_starved",
+    "prescheduled", "fifo",           "segmented_resize"};
+
+std::string
+variantName(int variant)
+{
+    if (variant < kFixedVariants)
+        return kVariantNames[variant];
+    return "segmented_draw" + std::to_string(variant - kFixedVariants);
+}
+
+/** Config-space cases: (program seed, config draw) pairs, 40 in all. */
+std::vector<std::tuple<int, int>>
+configSpaceCases()
+{
+    std::vector<std::tuple<int, int>> cases;
+    for (int i = 0; i < 40; ++i)
+        cases.emplace_back(100 + i, kFixedVariants + i);
+    return cases;
+}
 
 } // namespace
 
@@ -226,24 +282,35 @@ TEST_P(FuzzValidation, RandomProgramMatchesGoldenModel)
                                     "program (seed "
                                  << seed << ")";
 
+    const std::string name = variantName(variant);
     OooCore core(prog, configFor(variant));
+    Auditor auditor;
+    auditor.attach(core);
     core.run(~0ULL, 5'000'000);
-    ASSERT_TRUE(core.halted())
-        << kVariantNames[variant] << " seed " << seed;
+    ASSERT_TRUE(core.halted()) << name << " seed " << seed;
+    EXPECT_GT(auditor.cyclesAudited.value(), 0.0);
+    EXPECT_EQ(auditor.totalViolations(), 0u) << name << " seed " << seed;
     ASSERT_EQ(core.committedCount(), golden.instCount());
     for (RegIndex r = 1; r < kNumArchRegs; ++r) {
         ASSERT_EQ(core.commitRegs()[r], golden.reg(r))
-            << kVariantNames[variant] << " seed " << seed << " reg "
-            << static_cast<int>(r);
+            << name << " seed " << seed << " reg " << static_cast<int>(r);
     }
     ASSERT_TRUE(core.commitMemory().equalContents(golden.memory()))
-        << kVariantNames[variant] << " seed " << seed;
+        << name << " seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsByDesign, FuzzValidation,
-    ::testing::Combine(::testing::Range(1, 11), ::testing::Range(0, 6)),
+    ::testing::Combine(::testing::Range(1, 11),
+                       ::testing::Range(0, kFixedVariants)),
     [](const auto &info) {
-        return std::string(kVariantNames[std::get<1>(info.param)]) +
-               "_seed" + std::to_string(std::get<0>(info.param));
+        return variantName(std::get<1>(info.param)) + "_seed" +
+               std::to_string(std::get<0>(info.param));
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    ConfigSpace, FuzzValidation, ::testing::ValuesIn(configSpaceCases()),
+    [](const auto &info) {
+        return variantName(std::get<1>(info.param)) + "_seed" +
+               std::to_string(std::get<0>(info.param));
     });

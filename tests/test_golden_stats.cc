@@ -8,6 +8,11 @@
  * tests/golden/<workload>.json.  Counts must match exactly, derived
  * averages within a tiny relative tolerance.
  *
+ * The segmented IQ's deterministic host-work counters (iq.work.*) are
+ * pinned the same way, exactly, in tests/golden/work_proxy.json: a
+ * scheduler change that makes the tick do more work fails here with
+ * no wall-clock noise involved.
+ *
  * Regenerate the snapshots after an intentional behaviour change with:
  *
  *     ./build/tests/test_golden_stats --update-golden
@@ -283,6 +288,118 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, GoldenStats,
                          ::testing::ValuesIn(workloadNames()),
                          [](const auto &info) { return info.param; });
 
+// ---------------------------------------------------------------------
+// Deterministic perf proxy: the iq.work.* counters of a pinned
+// quick-mode segmented run, committed in tests/golden/work_proxy.json.
+
+struct WorkPoint
+{
+    std::uint64_t sig = 0, plan = 0, scanned = 0, words = 0;
+};
+
+std::string
+proxyPath()
+{
+    return std::string(SCIQ_GOLDEN_DIR) + "/work_proxy.json";
+}
+
+/** Per-workload counters gathered in update mode. */
+std::map<std::string, WorkPoint> g_collected;
+
+WorkPoint
+workFromJson(const json::Value &e)
+{
+    auto u64 = [&e](const char *key) {
+        return static_cast<std::uint64_t>(e.at(key).asNumber());
+    };
+    return {u64("signal_deliveries"), u64("plan_calls"),
+            u64("segments_scanned"), u64("lane_words_touched")};
+}
+
+void
+writeProxyFile()
+{
+    // Merge with the committed file so a filtered update run (a single
+    // workload) does not drop the others.
+    std::map<std::string, WorkPoint> merged;
+    try {
+        const json::Value root = json::parseFile(proxyPath());
+        for (const std::string &wl : workloadNames()) {
+            if (root.at("workloads").contains(wl))
+                merged[wl] = workFromJson(
+                    root.at("workloads").at(wl).at("reference"));
+        }
+    } catch (...) {
+        // No readable committed file yet: write what we collected.
+    }
+    for (const auto &[wl, w] : g_collected)
+        merged[wl] = w;
+
+    std::ofstream out(proxyPath());
+    if (!out) {
+        std::fprintf(stderr, "ERROR: cannot write %s\n",
+                     proxyPath().c_str());
+        return;
+    }
+    out << "{\n  \"config\": {\"iq_size\": 256, \"iterations\": 300, "
+           "\"fast_forward\": 1500},\n  \"workloads\": {\n";
+    std::size_t i = 0;
+    for (const auto &[wl, w] : merged) {
+        out << "    \"" << wl << "\": {\n      \"reference\": "
+            << "{\"signal_deliveries\": " << w.sig
+            << ", \"plan_calls\": " << w.plan
+            << ", \"segments_scanned\": " << w.scanned
+            << ", \"lane_words_touched\": " << w.words << "}"
+            << "\n    }" << (++i == merged.size() ? "\n" : ",\n");
+    }
+    out << "  }\n}\n";
+    std::fprintf(stderr, "wrote %s\n", proxyPath().c_str());
+}
+
+class WorkProxy : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(WorkProxy, MatchesCommittedCounters)
+{
+    const std::string workload = GetParam();
+    SimConfig cfg = makeSegmentedConfig(256, 64, true, true, workload);
+    cfg.wl.iterations = 300;
+    cfg.fastForward = 1500;
+    cfg.validate = true;
+    const RunResult r = runSim(cfg);
+    ASSERT_TRUE(r.validated);
+    const WorkPoint w{r.iqSignalDeliveries, r.iqPlanCalls,
+                      r.iqSegmentsScanned, r.iqLaneWordsTouched};
+
+    if (g_update_golden) {
+        // Written as one file after RUN_ALL_TESTS.
+        g_collected[workload] = w;
+        return;
+    }
+
+    json::Value golden;
+    try {
+        golden = json::parseFile(proxyPath());
+    } catch (const json::ParseError &e) {
+        FAIL() << e.what()
+               << "\n(regenerate with: test_golden_stats --update-golden)";
+    }
+    ASSERT_TRUE(golden.at("workloads").contains(workload))
+        << "no committed counters for " << workload
+        << " (regenerate with --update-golden)";
+    const WorkPoint want =
+        workFromJson(golden.at("workloads").at(workload).at("reference"));
+    EXPECT_EQ(w.sig, want.sig) << "signal_deliveries";
+    EXPECT_EQ(w.plan, want.plan) << "plan_calls";
+    EXPECT_EQ(w.scanned, want.scanned) << "segments_scanned";
+    EXPECT_EQ(w.words, want.words) << "lane_words_touched";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkProxy,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &info) { return info.param; });
+
 // The comparator itself: exact stats must differ on any change, toleranced
 // stats only beyond the relative tolerance.  Without this, a vacuous
 // comparator would let every golden test pass silently.
@@ -346,5 +463,8 @@ main(int argc, char **argv)
         if (std::string(argv[i]) == "--update-golden")
             g_update_golden = true;
     }
-    return RUN_ALL_TESTS();
+    const int rc = RUN_ALL_TESTS();
+    if (g_update_golden && rc == 0)
+        writeProxyFile();
+    return rc;
 }

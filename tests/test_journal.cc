@@ -125,6 +125,19 @@ TEST(SweepKey, DeterministicAndSensitive)
     SimConfig e = a;
     e.core.iqKind = IqKind::Ideal;
     EXPECT_NE(sweepKey(a), sweepKey(e));
+
+    // Both change simulated cycles, so both are part of a job's
+    // identity (wrong-path modelling for every IQ kind).
+    SimConfig f = a;
+    f.core.modelWrongPath = !a.core.modelWrongPath;
+    EXPECT_NE(sweepKey(a), sweepKey(f));
+    SimConfig g = e;
+    g.core.modelWrongPath = !e.core.modelWrongPath;
+    EXPECT_NE(sweepKey(e), sweepKey(g));
+
+    SimConfig h = a;
+    h.core.iq.resizeInterval = a.core.iq.resizeInterval + 16;
+    EXPECT_NE(sweepKey(a), sweepKey(h));
 }
 
 TEST(SweepKey, HostOnlySettingsExcluded)
@@ -137,7 +150,26 @@ TEST(SweepKey, HostOnlySettingsExcluded)
     b.ckptDir = "/somewhere/else";
     b.audit = true;
     b.validate = false;
+    b.bbCache = !a.bbCache;
     EXPECT_EQ(sweepKey(a), sweepKey(b));
+}
+
+// The suite name predates the removal of lockstep batching; the test
+// still guards against the sweep's host settings leaking into the key.
+TEST(LockstepBatch, SweepKeyInvariantUnderHostSettings)
+{
+    // sweepKey() identifies *what* is simulated; the worker count
+    // describes *how*.  The key must not move when host settings
+    // change, or journals would silently stop resuming across them.
+    SimConfig c = makeSegmentedConfig(64, 32, true, true, "swim");
+    const std::string key = sweepKey(c);
+    EXPECT_FALSE(key.empty());
+    for (unsigned jobs : {0u, 1u, 7u}) {
+        SweepRunner runner(jobs);
+        EXPECT_EQ(sweepKey(c), key);
+    }
+    EXPECT_EQ(key.find("batch"), std::string::npos);
+    EXPECT_EQ(key.find("jobs"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

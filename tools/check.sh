@@ -1,7 +1,7 @@
 #!/bin/sh
-# Full pre-merge check: tier-1 tests, the invariant-audit sweep, the
-# SoA-engine differential + exact work-counter proxy, sanitizer
-# configurations, and the distributed-sweep differential gates.  Run
+# Full pre-merge check: tier-1 tests (including the exact work-counter
+# proxy), the invariant-audit sweep, sanitizer configurations, and the
+# distributed-sweep differential gates.  Run
 # from the repository root:
 #
 #   tools/check.sh [ubsan|asan|tsan|all|faults|distributed|chaos]...
@@ -102,19 +102,14 @@ tier1_full() {
   begin_leg "scheduling-index differential sweep (audit=1)" build
   ./build/tests/test_sched_index
 
-  begin_leg "SoA-engine differential + exact work-counter proxy" build
-  ./build/tests/test_iq_soa
-
   begin_leg "segmented-tick substage profile (quick)" build
   ./build/bench/micro_components \
       --benchmark_filter='BM_SegmentedTickSubstages' \
       --benchmark_min_time=0.01 json_out=/tmp/sciq-substages.json
   grep -q '"bench": "micro_components.substages"' /tmp/sciq-substages.json
 
-  begin_leg "host-throughput bench (quick, unbatched + lockstep batch=3)" \
-            build
+  begin_leg "host-throughput bench (quick)" build
   ./build/bench/bench_throughput quick=1 workloads=swim,twolf
-  ./build/bench/bench_throughput quick=1 workloads=swim,twolf batch=3
 
   begin_leg "bb-cache differential + warming bench (quick)" build
   ./build/tests/test_bb_cache
@@ -134,12 +129,10 @@ run_sanitizer() {
   ctest --test-dir "build-$name" --output-on-failure -j "$jobs" \
         -L sanitize_smoke
   if [ "$name" = tsan ]; then
-    begin_leg "tsan: parallel sweep + checkpoint reuse + lockstep batching" \
-              "build-$name"
+    begin_leg "tsan: parallel sweep + checkpoint reuse" "build-$name"
     "./build-$name/tests/test_sweep"
     "./build-$name/tests/test_checkpoint" \
         --gtest_filter='CheckpointCacheTest.*:CheckpointEndToEnd.*'
-    "./build-$name/tests/test_batch"
   fi
 }
 
