@@ -12,17 +12,15 @@
  *   bench_out=path    also write every result as JSON to `path`
  *   ff=N         fast-forward N instructions before the timed run
  *                (count keys accept k/m/g suffixes, e.g. ff=300m)
- *   bb_cache=0   use the step()-based reference interpreter for the
- *                functional paths (default: basic-block cache)
- *   ckpt_dir=path     persist/reuse warm-up checkpoints in `path`
  *   ckpt_reuse=0      disable the in-process sweep-level checkpoint
  *                     cache (each run fast-forwards cold again)
  *   journal=path      append-only JSONL result journal; restarting the
  *                     bench re-runs only unfinished/failed jobs
  *   retries=N    extra attempts for transient job errors (default 2)
  *   artifact_dir=path failure artifacts (pipeline dumps) land here
- *   watchdog_cycles=N no-commit deadlock watchdog window (0 = off)
- *   deadline_sec=S    per-job wall-clock deadline (0 = none)
+ *   plus the Job and Local keys the config table (config_fields.hh)
+ *   flags Sweep, applied to every job: audit=1, bb_cache=0,
+ *   ckpt_dir=path, watchdog_cycles=N, deadline_sec=S, ...
  *
  * Unknown keys are rejected with a "did you mean" suggestion so a
  * typo'd override fails loudly instead of silently measuring the
@@ -34,12 +32,15 @@
 #define SCIQ_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/errors.hh"
 #include "sim/checkpoint.hh"
+#include "sim/config_fields.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "workload/workloads.hh"
@@ -54,13 +55,14 @@ struct BenchArgs
     unsigned jobs = 0;        ///< 0 = hardware concurrency
     std::string benchOut;     ///< JSON output path ("" = none)
     std::uint64_t ff = 0;     ///< fast-forward length (0 = none)
-    std::string ckptDir;      ///< on-disk checkpoint cache ("" = none)
     bool ckptReuse = true;    ///< share warm-ups across the sweep
     std::string journal;      ///< resumable result journal ("" = off)
     unsigned retries = 2;     ///< transient-error retry budget
     std::string artifactDir;  ///< failure artifacts ("" = env/off)
     std::vector<std::string> workloads;
     ConfigMap raw;
+    /** The Sweep-flagged Job/Local keys given; applied to every job. */
+    ConfigMap jobKeys;
 
     /** Every result produced through SweepBatch, for bench_out. */
     std::vector<RunResult> collected;
@@ -69,8 +71,9 @@ struct BenchArgs
 /**
  * Parse bench command-line arguments.  `extra_known` lists the keys a
  * particular bench reads beyond the shared set (e.g. iq_size); any
- * other key aborts with a suggestion.  Negative counts are rejected
- * up front so they cannot wrap around in the unsigned config fields.
+ * other key aborts with a suggestion.  Negative counts and
+ * out-of-range config values are rejected up front so they cannot
+ * wrap around in the unsigned config fields.
  */
 inline BenchArgs
 parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
@@ -78,28 +81,30 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
 {
     BenchArgs args;
     args.raw = ConfigMap::fromArgs(argc, argv);
+    // The config-table keys a bench takes: iters/ff (read below) plus
+    // the Job/Local keys it applies to every job.
+    const ConfigMap sweepKeys =
+        configOverrides(args.raw, ConfigClass::All, ConfigClass::Sweep);
+    args.jobKeys = configOverrides(
+        args.raw, ConfigClass::Job | ConfigClass::Local, ConfigClass::Sweep);
 
-    std::vector<std::string> known = {
-        "iters",       "quick",       "workloads",       "jobs",
-        "bench_out",   "ff",          "ckpt_dir",        "ckpt_reuse",
-        "audit",       "audit_panic", "journal",         "retries",
-        "artifact_dir", "watchdog_cycles", "deadline_sec", "bb_cache",
-    };
+    std::vector<std::string> known =
+        configKeys(ConfigClass::All, ConfigClass::Sweep);
+    known.insert(known.end(),
+                 {"quick", "workloads", "jobs", "bench_out", "ckpt_reuse",
+                  "journal", "retries", "artifact_dir"});
     known.insert(known.end(), extra_known.begin(), extra_known.end());
-    const std::string complaint = args.raw.unknownKeyMessage(known);
-    if (!complaint.empty()) {
-        std::fprintf(stderr, "ERROR: %s\n", complaint.c_str());
-        std::exit(2);
-    }
-    for (const char *key : {"iters", "jobs", "ff", "retries",
-                            "watchdog_cycles"}) {
-        if (args.raw.getCount(key, 0) < 0) {
-            std::fprintf(stderr, "ERROR: %s= must be >= 0\n", key);
-            std::exit(2);
+    try {
+        const std::string complaint = args.raw.unknownKeyMessage(known);
+        if (!complaint.empty())
+            throw ConfigError(complaint);
+        for (const char *key : {"jobs", "retries"}) {
+            if (args.raw.getCount(key, 0) < 0)
+                throw ConfigError(std::string(key) + "= must be >= 0");
         }
-    }
-    if (args.raw.getDouble("deadline_sec", 0.0) < 0.0) {
-        std::fprintf(stderr, "ERROR: deadline_sec= must be >= 0\n");
+        SimConfig().apply(sweepKeys);  // range-check the values
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "ERROR: %s\n", e.what());
         std::exit(2);
     }
 
@@ -109,7 +114,6 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
     args.jobs = static_cast<unsigned>(args.raw.getInt("jobs", 0));
     args.benchOut = args.raw.getString("bench_out", "");
     args.ff = static_cast<std::uint64_t>(args.raw.getCount("ff", 0));
-    args.ckptDir = args.raw.getString("ckpt_dir", "");
     args.ckptReuse = args.raw.getBool("ckpt_reuse", true);
     args.journal = args.raw.getString("journal", "");
     args.retries = static_cast<unsigned>(args.raw.getInt("retries", 2));
@@ -133,7 +137,7 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
     return args;
 }
 
-/** Apply the bench-wide iteration overrides to one configuration. */
+/** Apply the bench-wide overrides to one configuration. */
 inline void
 applyArgs(SimConfig &cfg, const BenchArgs &args)
 {
@@ -144,17 +148,9 @@ applyArgs(SimConfig &cfg, const BenchArgs &args)
         cfg.wl.iterations = 1500;
     }
     cfg.validate = false;  // benches measure; tests validate
-    // Every bench accepts audit=1 to run under the invariant auditor.
-    cfg.audit = args.raw.getBool("audit", false);
-    cfg.auditPanic = args.raw.getBool("audit_panic", false);
     if (args.ff > 0)
         cfg.fastForward = args.ff;
-    cfg.bbCache = args.raw.getBool("bb_cache", true);
-    if (args.raw.has("watchdog_cycles")) {
-        cfg.core.watchdogCycles = static_cast<Cycle>(
-            args.raw.getCount("watchdog_cycles", 0));
-    }
-    cfg.deadlineSec = args.raw.getDouble("deadline_sec", 0.0);
+    cfg.apply(args.jobKeys);
 }
 
 /**
@@ -183,14 +179,15 @@ class SweepBatch
     {
         // One shared checkpoint cache per sweep: each distinct warm-up
         // (workload x ff length) executes once and every other
-        // configuration restores the snapshot.  ckpt_dir= additionally
-        // persists the blobs so later sweeps skip warm-up entirely.
+        // configuration restores the snapshot.  ckpt_dir= (applied to
+        // every config) additionally persists the blobs so later
+        // sweeps skip warm-up entirely.
         bool anyFf = false;
         for (const SimConfig &cfg : configs_)
             anyFf = anyFf || cfg.fastForward > 0;
         if (anyFf && args_.ckptReuse) {
-            auto cache =
-                std::make_shared<CheckpointCache>(args_.ckptDir);
+            auto cache = std::make_shared<CheckpointCache>(
+                configs_.front().ckptDir);
             for (SimConfig &cfg : configs_) {
                 if (!cfg.ckptCache && cfg.ckptFile.empty())
                     cfg.ckptCache = cache;

@@ -52,7 +52,7 @@ main(int argc, char **argv)
     cfg.core.iq.numEntries = 128;
     cfg.core.iq.segmentSize = 32;
     cfg.core.iq.maxChains = 64;
-    cfg.apply(args);
+    cfg.apply(args, {"squashed", "rows"});
     cfg.core.finalize();
 
     Program prog = assemble(kSource, "pipeview-demo");

@@ -8,11 +8,14 @@
  *   runner workload=swim iq=segmented iq_size=512 chains=128 hmp=1 lrp=1
  *   runner workload=gcc iq=prescheduled iq_size=320 stats=1
  *   runner workload=equake ff=5000 iters=2000 resize=1
+ *   runner help=1      lists every config key (config_fields.hh)
  */
 
+#include <exception>
 #include <iostream>
 
 #include "common/config.hh"
+#include "sim/config_fields.hh"
 #include "sim/simulator.hh"
 
 using namespace sciq;
@@ -21,23 +24,23 @@ int
 main(int argc, char **argv)
 {
     ConfigMap args = ConfigMap::fromArgs(argc, argv);
+    SimConfig cfg = makeSegmentedConfig(512, 128, true, true, "swim");
     if (args.has("help")) {
-        std::cout <<
-            "keys: workload=<name> iq=ideal|segmented|prescheduled|fifo\n"
-            "      iq_size=N seg_size=N chains=N|-1 hmp=0/1 lrp=0/1\n"
-            "      pushdown=0/1 bypass=0/1 resize=0/1 iters=N ff=N\n"
-            "      seed=N scale=X max_cycles=N validate=0/1 stats=0/1\n"
-            "      ckpt=<file> ckpt_dir=<dir>   (warm-up checkpoints;\n"
-            "      restore the ff= prefix instead of re-executing it)\n"
-            "      bb_cache=0/1 (default 1: basic-block cache for the\n"
-            "      functional paths; 0 = step()-based reference)\n"
-            "count-valued keys (ff, iters, max_cycles, ...) accept\n"
-            "decimal k/m/g suffixes, e.g. ff=300m\n";
+        // Every config key with its value here; integers accept k/m/g.
+        std::cout << "identity keys: "
+                  << configString(cfg, ConfigClass::Identity)
+                  << "\n\njob keys: " << configString(cfg, ConfigClass::Job)
+                  << "\n\nlocal keys: "
+                  << configString(cfg, ConfigClass::Local)
+                  << "\n\nrunner keys: stats=0/1 (dump all statistics)\n";
         return 0;
     }
-
-    SimConfig cfg = makeSegmentedConfig(512, 128, true, true, "swim");
-    cfg.apply(args);
+    try {
+        cfg.apply(args, {"stats", "help"});
+    } catch (const std::exception &e) {
+        std::cerr << "ERROR: " << e.what() << "\n";
+        return 2;
+    }
 
     cfg.printParameters(std::cout);
     std::cout << '\n';

@@ -33,6 +33,7 @@
 
 #include "common/config.hh"
 #include "sim/checkpoint.hh"
+#include "sim/config_fields.hh"
 #include "sim/fault_injector.hh"
 #include "sim/shard.hh"
 #include "sim/worker_proto.hh"
@@ -143,12 +144,17 @@ main(int argc, char **argv)
             "      _exit(137) after journaling the Nth result)\n";
         return 0;
     }
-    const std::string complaint = args.unknownKeyMessage(
-        {"mode", "preset", "spec", "workloads", "iters", "ff", "socket",
-         "listen", "workers", "lease_ms", "lease_drops", "dup_ms",
-         "grace_ms", "heartbeat_ms", "drain_ms", "journal", "out",
-         "sync_journal", "jobs", "ckpt_dir", "retries",
-         "artifact_dir", "fault_coord_abort", "fault_seed", "help"});
+    // iters/ff: the Sweep-flagged identity keys, set on every config.
+    std::vector<std::string> known =
+        configKeys(ConfigClass::Identity, ConfigClass::Sweep);
+    known.insert(known.end(),
+                 {"mode", "preset", "spec", "workloads", "socket",
+                  "listen", "workers", "lease_ms", "lease_drops",
+                  "dup_ms", "grace_ms", "heartbeat_ms", "drain_ms",
+                  "journal", "out", "sync_journal", "jobs", "ckpt_dir",
+                  "retries", "artifact_dir", "fault_coord_abort",
+                  "fault_seed", "help"});
+    const std::string complaint = args.unknownKeyMessage(known);
     if (!complaint.empty()) {
         std::cerr << complaint << "\n";
         return 2;
@@ -163,12 +169,10 @@ main(int argc, char **argv)
                 args.getString("preset", "quick"),
                 splitList(args.getString("workloads")));
         }
-        for (SimConfig &cfg : configs) {
-            cfg.wl.iterations = static_cast<std::uint64_t>(args.getCount(
-                "iters", static_cast<std::int64_t>(cfg.wl.iterations)));
-            cfg.fastForward = static_cast<std::uint64_t>(args.getCount(
-                "ff", static_cast<std::int64_t>(cfg.fastForward)));
-        }
+        const ConfigMap overrides = configOverrides(
+            args, ConfigClass::Identity, ConfigClass::Sweep);
+        for (SimConfig &cfg : configs)
+            cfg.apply(overrides);
         if (configs.empty()) {
             std::cerr << "no configurations to run\n";
             return 2;

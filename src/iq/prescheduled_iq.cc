@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/errors.hh"
 #include "common/logging.hh"
 
 namespace sciq {
@@ -11,12 +12,18 @@ PrescheduledIq::PrescheduledIq(const IqParams &params_,
                                const FuPool &fu_)
     : IqBase(params_, scoreboard_, fu_, "iq")
 {
-    SCIQ_ASSERT(params.numEntries > params.issueBufferSize,
-                "prescheduled IQ smaller than its issue buffer");
+    // Geometry is user input: reject it as a config error, not as an
+    // invariant failure.
+    if (params.numEntries <= params.issueBufferSize)
+        throw ConfigError("prescheduled IQ smaller than its issue buffer");
     const unsigned array_slots = params.numEntries - params.issueBufferSize;
-    SCIQ_ASSERT(array_slots % params.preschedLineWidth == 0,
-                "scheduling array (%u) not a multiple of line width %u",
-                array_slots, params.preschedLineWidth);
+    if (params.preschedLineWidth == 0 ||
+        array_slots % params.preschedLineWidth != 0) {
+        throw ConfigError("scheduling array (" +
+                          std::to_string(array_slots) +
+                          ") not a multiple of line width " +
+                          std::to_string(params.preschedLineWidth));
+    }
     lines.resize(array_slots / params.preschedLineWidth);
     issueBuffer.reserve(params.issueBufferSize);
 

@@ -5,6 +5,7 @@
 
 #include "branch/hit_miss_predictor.hh"
 #include "branch/left_right_predictor.hh"
+#include "common/errors.hh"
 #include "common/logging.hh"
 
 namespace sciq {
@@ -43,11 +44,15 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     : IqBase(params_, scoreboard_, fu_, "iq"),
       chains(params_.maxChains), hmp(hmp_), lrp(lrp_)
 {
-    SCIQ_ASSERT(params.numEntries % params.segmentSize == 0,
-                "IQ size %u not a multiple of segment size %u",
-                params.numEntries, params.segmentSize);
+    // Geometry is user input: reject it as a config error before it
+    // divides by zero or trips an invariant.
+    if (params.segmentSize == 0 || params.numEntries == 0 ||
+        params.numEntries % params.segmentSize != 0) {
+        throw ConfigError("IQ size " + std::to_string(params.numEntries) +
+                          " is not a positive multiple of segment size " +
+                          std::to_string(params.segmentSize));
+    }
     const unsigned n = params.numEntries / params.segmentSize;
-    SCIQ_ASSERT(n >= 1, "need at least one segment");
     segments.resize(n);
     freePrevCycle.assign(n, params.segmentSize);
     if (params.maxChains > 0)

@@ -281,7 +281,15 @@ readCheckpointFile(const std::string &path)
     return blob;
 }
 
-CheckpointCache::CheckpointCache(std::string dir) : dir_(std::move(dir)) {}
+CheckpointCache::CheckpointCache(std::string dir) : dir_(std::move(dir))
+{
+    // The producer lock file lives in the directory; without it every
+    // election fails and the first warm-up waits out electionWaitMs.
+    if (!dir_.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(dir_, ec);
+    }
+}
 
 std::string
 CheckpointCache::pathFor(std::uint64_t key) const

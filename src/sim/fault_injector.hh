@@ -2,8 +2,8 @@
  * @file
  * Deterministic seeded fault injection (DESIGN.md §13).
  *
- * Generalizes the auditor's `audit_inject_overpromote` idea into a
- * small menu of faults that each target one detection/recovery path so
+ * Generalizes the auditor's forced over-promotion (`fault_overpromote`)
+ * into a small menu of faults that each target one detection/recovery path so
  * negative tests can prove the path actually fires:
  *
  *   - checkpoint-blob corruption   -> trailer checksum rejection, and

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "common/errors.hh"
+#include "sim/config_fields.hh"
 #include "sim/run_result_fields.hh"
 
 namespace sciq {
@@ -17,33 +18,7 @@ namespace sciq {
 std::string
 sweepKey(const SimConfig &config)
 {
-    const CoreParams &c = config.core;
-    const IqParams &iq = c.iq;
-    std::ostringstream os;
-    os << "workload=" << config.workload << " iters=" << config.wl.iterations
-       << " seed=" << config.wl.seed << " scale=" << config.wl.scale
-       << " iq=" << iqKindName(c.iqKind) << " iq_size=" << iq.numEntries;
-    switch (c.iqKind) {
-      case IqKind::Segmented:
-        os << " seg_size=" << iq.segmentSize << " chains=" << iq.maxChains
-           << " hmp=" << iq.useHmp << " lrp=" << iq.useLrp
-           << " pushdown=" << iq.enablePushdown
-           << " bypass=" << iq.enableBypass << " resize=" << iq.dynamicResize
-           << " resize_interval=" << iq.resizeInterval;
-        break;
-      case IqKind::Prescheduled:
-        os << " line_width=" << iq.preschedLineWidth
-           << " issue_buffer=" << iq.issueBufferSize;
-        break;
-      case IqKind::Fifo:
-        os << " fifos=" << iq.numFifos << " depth=" << iq.fifoDepth;
-        break;
-      case IqKind::Ideal:
-        break;
-    }
-    os << " wrong_path=" << c.modelWrongPath << " ff=" << config.fastForward
-       << " max_cycles=" << config.maxCycles;
-    return os.str();
+    return configString(config, ConfigClass::Identity);
 }
 
 namespace {

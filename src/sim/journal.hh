@@ -36,10 +36,10 @@
 namespace sciq {
 
 /**
- * Deterministic identity of a sweep job: every config field that
- * affects architected results, as a stable `key=value` string.  Host
- * settings (jobs, checkpoint caching, audit, fault injection) are
- * deliberately excluded - they must not invalidate journal entries.
+ * Deterministic identity of a sweep job: every Identity-class field of
+ * the config table (config_fields.hh), as a stable `key=value` string.
+ * Job and Local fields (audit, checkpoint paths, injector budgets) are
+ * excluded - they must not invalidate journal entries.
  */
 std::string sweepKey(const SimConfig &config);
 

@@ -12,6 +12,7 @@
 #include "common/errors.hh"
 #include "common/logging.hh"
 #include "sim/checkpoint.hh"
+#include "sim/config_fields.hh"
 #include "sim/fault_injector.hh"
 #include "sim/job_exec.hh"
 #include "sim/journal.hh"
@@ -41,20 +42,7 @@ shardOf(const std::string &sweep_key, unsigned shards)
 std::string
 configSpec(const SimConfig &config)
 {
-    std::ostringstream os;
-    os << sweepKey(config)
-       << " watchdog_cycles=" << config.core.watchdogCycles
-       << " validate=" << config.validate << " audit=" << config.audit
-       << " audit_panic=" << config.auditPanic
-       << " bb_cache=" << config.bbCache;
-    // Architected fault knobs travel with the job so negative tests
-    // behave the same distributed as local; budgeted injector faults
-    // stay worker-local by design.
-    if (config.core.faultCommitStallAt > 0)
-        os << " fault_commit_stall=" << config.core.faultCommitStallAt;
-    if (config.core.iq.auditInjectOverPromote)
-        os << " fault_overpromote=1";
-    return os.str();
+    return configString(config, ConfigClass::Identity | ConfigClass::Job);
 }
 
 SimConfig

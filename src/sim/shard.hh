@@ -65,13 +65,11 @@ std::uint64_t shardHash(const std::string &sweep_key);
 unsigned shardOf(const std::string &sweep_key, unsigned shards);
 
 /**
- * Complete wire form of a configuration: sweepKey(config) plus every
- * other apply()-understood key that affects the run's reported result
- * (validate/audit flags, watchdog window, functional-path selector).
- * configFromSpec(configSpec(c)) reproduces c's architected behaviour
- * exactly; host-local settings (checkpoint paths/caches, fault
- * injectors, wall-clock deadlines) are deliberately not part of the
- * spec.
+ * Complete wire form of a configuration: sweepKey(config) followed by
+ * the Job-class fields of the config table (config_fields.hh).
+ * configFromSpec(configSpec(c)) reproduces every Identity and Job
+ * field of c exactly; Local fields (checkpoint paths, injector
+ * budgets, wall-clock deadlines) are deliberately not part of it.
  */
 std::string configSpec(const SimConfig &config);
 

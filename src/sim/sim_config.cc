@@ -1,92 +1,137 @@
 #include "sim_config.hh"
 
-#include "sim/fault_injector.hh"
+#include <limits>
+#include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/errors.hh"
-#include "common/logging.hh"
+#include "common/json.hh"
+#include "sim/config_fields.hh"
+#include "sim/fault_injector.hh"
 
 namespace sciq {
 
-void
-SimConfig::apply(const ConfigMap &cfg)
+namespace {
+
+/** Whether an entry's `bits` fall in `classes` and carry all `flags`. */
+bool
+selected(unsigned bits, unsigned classes, unsigned flags)
 {
-    if (cfg.has("iq")) {
-        const std::string kind = cfg.getString("iq", "segmented");
-        if (kind == "ideal")
-            core.iqKind = IqKind::Ideal;
-        else if (kind == "segmented")
-            core.iqKind = IqKind::Segmented;
-        else if (kind == "prescheduled")
-            core.iqKind = IqKind::Prescheduled;
-        else if (kind == "fifo")
-            core.iqKind = IqKind::Fifo;
-        else
-            throw ConfigError("unknown iq kind '" + kind + "'");
-    }
-    core.iq.numEntries = static_cast<unsigned>(
-        cfg.getInt("iq_size", core.iq.numEntries));
-    core.iq.segmentSize = static_cast<unsigned>(
-        cfg.getInt("seg_size", core.iq.segmentSize));
-    core.iq.maxChains =
-        static_cast<int>(cfg.getInt("chains", core.iq.maxChains));
-    core.iq.useHmp = cfg.getBool("hmp", core.iq.useHmp);
-    core.iq.useLrp = cfg.getBool("lrp", core.iq.useLrp);
-    core.iq.enablePushdown =
-        cfg.getBool("pushdown", core.iq.enablePushdown);
-    core.iq.enableBypass = cfg.getBool("bypass", core.iq.enableBypass);
-    core.iq.dynamicResize =
-        cfg.getBool("resize", core.iq.dynamicResize);
-    core.iq.resizeInterval = static_cast<unsigned>(
-        cfg.getInt("resize_interval", core.iq.resizeInterval));
-    core.iq.issueBufferSize = static_cast<unsigned>(
-        cfg.getInt("issue_buffer", core.iq.issueBufferSize));
-    core.iq.preschedLineWidth = static_cast<unsigned>(
-        cfg.getInt("line_width", core.iq.preschedLineWidth));
-    core.iq.numFifos =
-        static_cast<unsigned>(cfg.getInt("fifos", core.iq.numFifos));
-    core.iq.fifoDepth = static_cast<unsigned>(
-        cfg.getInt("depth", core.iq.fifoDepth));
-    core.modelWrongPath =
-        cfg.getBool("wrong_path", core.modelWrongPath);
+    return (bits & classes) != 0 && (bits & flags) == flags;
+}
 
-    workload = cfg.getString("workload", workload);
-    wl.iterations = static_cast<std::uint64_t>(
-        cfg.getCount("iters", static_cast<std::int64_t>(wl.iterations)));
-    wl.seed = static_cast<std::uint64_t>(
-        cfg.getInt("seed", static_cast<std::int64_t>(wl.seed)));
-    wl.scale = cfg.getDouble("scale", wl.scale);
-    maxCycles = static_cast<Cycle>(
-        cfg.getCount("max_cycles", static_cast<std::int64_t>(maxCycles)));
-    validate = cfg.getBool("validate", validate);
-    audit = cfg.getBool("audit", audit);
-    auditPanic = cfg.getBool("audit_panic", auditPanic);
-    core.iq.auditInjectOverPromote = cfg.getBool(
-        "audit_inject_overpromote", core.iq.auditInjectOverPromote);
-    fastForward = static_cast<std::uint64_t>(
-        cfg.getCount("ff", static_cast<std::int64_t>(fastForward)));
-    bbCache = cfg.getBool("bb_cache", bbCache);
-    ckptFile = cfg.getString("ckpt", ckptFile);
-    ckptDir = cfg.getString("ckpt_dir", ckptDir);
+/** Parses the keys present in a ConfigMap into the table's fields. */
+struct Applier
+{
+    const ConfigMap &m;
 
-    core.watchdogCycles = static_cast<Cycle>(cfg.getCount(
-        "watchdog_cycles", static_cast<std::int64_t>(core.watchdogCycles)));
-    deadlineSec = cfg.getDouble("deadline_sec", deadlineSec);
-
-    // Fault-injection keys (DESIGN.md §13).  `fault_commit_stall` and
-    // `fault_overpromote` configure faults that live inside the core;
-    // the blob/disk faults build a FaultInjector on demand.
-    core.faultCommitStallAt = static_cast<Cycle>(cfg.getInt(
-        "fault_commit_stall",
-        static_cast<std::int64_t>(core.faultCommitStallAt)));
-    core.iq.auditInjectOverPromote = cfg.getBool(
-        "fault_overpromote", core.iq.auditInjectOverPromote);
-    if (cfg.has("fault_ckpt_corrupt") || cfg.has("fault_disk_fail")) {
-        if (!faults) {
-            faults = std::make_shared<FaultInjector>(static_cast<
-                std::uint64_t>(cfg.getInt("fault_seed", 1)));
+    template <typename T>
+    void
+    operator()(const char *k, unsigned, T &f, std::int64_t min = 0)
+    {
+        if (!m.has(k))
+            return;
+        if constexpr (std::is_same_v<T, bool>) {
+            f = m.getBool(k, f);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            f = m.getString(k);
+        } else if constexpr (std::is_same_v<T, IqKind>) {
+            const std::string kind = m.getString(k);
+            for (IqKind c : {IqKind::Ideal, IqKind::Segmented,
+                             IqKind::Prescheduled, IqKind::Fifo}) {
+                if (kind == iqKindName(c)) {
+                    f = c;
+                    return;
+                }
+            }
+            throw ConfigError("unknown iq kind '" + kind +
+                              "' (ideal|segmented|prescheduled|fifo)");
+        } else if constexpr (std::is_same_v<T, double>) {
+            f = m.getDouble(k, f);
+            if (!(f >= static_cast<double>(min)))
+                outOfRange(k, min);
+        } else {
+            const std::int64_t v = m.getCount(k, 0);
+            if (v < min || std::cmp_greater(v, std::numeric_limits<T>::max()))
+                outOfRange(k, min);
+            f = static_cast<T>(v);
         }
-        faults->corruptCkptReads = cfg.getInt("fault_ckpt_corrupt", 0);
-        faults->failDiskWrites = cfg.getInt("fault_disk_fail", 0);
+    }
+
+    [[noreturn]] void
+    outOfRange(const char *k, std::int64_t min) const
+    {
+        throw ConfigError("config key '" + std::string(k) + "': '" +
+                          m.getString(k) + "' is out of range (minimum " +
+                          std::to_string(min) + ")");
+    }
+};
+
+} // namespace
+
+std::vector<std::string>
+configKeys(unsigned classes, unsigned flags)
+{
+    std::vector<std::string> keys;
+    const SimConfig defaults;
+    visitConfigFields(
+        [&](const char *k, unsigned bits, auto &&...) {
+            if (selected(bits, classes, flags))
+                keys.push_back(k);
+        },
+        defaults);
+    return keys;
+}
+
+std::string
+configString(const SimConfig &config, unsigned classes)
+{
+    std::ostringstream os;
+    const char *sep = "";
+    visitConfigFields(
+        [&](const char *k, unsigned bits, const auto &f, auto &&...) {
+            if (!selected(bits, classes, 0))
+                return;
+            os << sep << k << '=';
+            sep = " ";
+            using T = std::decay_t<decltype(f)>;
+            if constexpr (std::is_same_v<T, double>)
+                json::writeNumber(os, f);
+            else if constexpr (std::is_same_v<T, IqKind>)
+                os << iqKindName(f);
+            else
+                os << f;
+        },
+        config);
+    return os.str();
+}
+
+ConfigMap
+configOverrides(const ConfigMap &args, unsigned classes, unsigned flags)
+{
+    ConfigMap out;
+    for (const std::string &key : configKeys(classes, flags)) {
+        if (args.has(key))
+            out.set(key, args.getString(key));
+    }
+    return out;
+}
+
+void
+SimConfig::apply(const ConfigMap &cfg,
+                 const std::vector<std::string> &own_keys)
+{
+    std::vector<std::string> known = configKeys(ConfigClass::All);
+    known.insert(known.end(), own_keys.begin(), own_keys.end());
+    const std::string complaint = cfg.unknownKeyMessage(known);
+    if (!complaint.empty())
+        throw ConfigError(complaint);
+    visitConfigFields(Applier{cfg}, *this);
+    if (!faults && (faultCkptCorrupt != 0 || faultDiskFail != 0)) {
+        faults = std::make_shared<FaultInjector>(faultSeed);
+        faults->corruptCkptReads = faultCkptCorrupt;
+        faults->failDiskWrites = faultDiskFail;
     }
 }
 

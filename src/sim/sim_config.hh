@@ -10,6 +10,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "core/ooo_core.hh"
@@ -93,9 +94,17 @@ struct SimConfig
     std::shared_ptr<CheckpointCache> ckptCache;
 
     /**
-     * Optional fault injector (keys: `fault_seed=`, `fault_ckpt_corrupt=`,
-     * `fault_disk_fail=`; see fault_injector.hh).  Shared across a
-     * job's retries so fault budgets span them.
+     * Injector seed and budgets (keys: `fault_seed=`,
+     * `fault_ckpt_corrupt=`, `fault_disk_fail=`; -1 = every attempt).
+     * apply() turns nonzero budgets into `faults`, once.
+     */
+    std::uint64_t faultSeed = 1;
+    std::int64_t faultCkptCorrupt = 0;
+    std::int64_t faultDiskFail = 0;
+
+    /**
+     * Optional fault injector (see fault_injector.hh).  Shared across
+     * a job's retries so fault budgets span them.
      */
     std::shared_ptr<FaultInjector> faults;
 
@@ -103,8 +112,13 @@ struct SimConfig
      * Apply key=value overrides, e.g.
      *   iq=segmented iq_size=512 seg_size=32 chains=128 hmp=1 lrp=1
      *   workload=swim iters=4096
+     * Keys are those of the field table (config_fields.hh).  Any other
+     * key, unless the caller reads it itself and lists it in
+     * `own_keys`, throws a ConfigError with a "did you mean" hint, as
+     * does a value below its field's lower bound.
      */
-    void apply(const ConfigMap &overrides);
+    void apply(const ConfigMap &overrides,
+               const std::vector<std::string> &own_keys = {});
 
     /** Print the Table 1 parameter block. */
     void printParameters(std::ostream &os) const;

@@ -12,12 +12,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/errors.hh"
+#include "sim/config_fields.hh"
 #include "sim/journal.hh"
+#include "sim/run_result_fields.hh"
 #include "sim/sweep.hh"
 
 using namespace sciq;
@@ -105,53 +110,151 @@ journalLines(const std::string &path)
 // ---------------------------------------------------------------------
 // Sweep keys.
 
+/**
+ * Changes the `target`th field of the config table (counting from 0)
+ * and records which one.  Path-valued fields move under `dir`.
+ */
+struct Flipper
+{
+    Flipper(std::size_t target_, std::string dir_)
+        : target(target_), dir(std::move(dir_))
+    {
+    }
+
+    std::size_t target;
+    std::string dir;
+    std::size_t at = 0;
+    std::string key;
+    unsigned cls = 0;
+
+    template <typename T>
+    void
+    operator()(const char *k, unsigned c, T &f, std::int64_t = 0)
+    {
+        if (at++ != target)
+            return;
+        key = k;
+        cls = c;
+        if constexpr (std::is_same_v<T, std::string>)
+            f = dir + "/" + k;
+        else if constexpr (std::is_same_v<T, bool>)
+            f = !f;
+        else if constexpr (std::is_same_v<T, IqKind>)
+            f = f == IqKind::Ideal ? IqKind::Segmented : IqKind::Ideal;
+        else if constexpr (std::is_same_v<T, double>)
+            f += 60.0;  // generous, so a flipped deadline never fires
+        else
+            ++f;
+    }
+};
+
+/** Every serialized RunResult field as exact text, keyed by name. */
+struct ResultFields
+{
+    std::map<std::string, std::string> f;
+
+    void str(const char *k, const std::string &v) { f[k] = v; }
+    void uns(const char *k, unsigned v) { f[k] = std::to_string(v); }
+    void i(const char *k, int v) { f[k] = std::to_string(v); }
+    void u64(const char *k, std::uint64_t v) { f[k] = std::to_string(v); }
+    void num(const char *k, double v)
+    {
+        std::ostringstream os;
+        json::writeNumber(os, v);
+        f[k] = os.str();
+    }
+    void b(const char *k, bool v) { f[k] = v ? "true" : "false"; }
+};
+
+/**
+ * The result fields a Job or Local setting may move: host timing, the
+ * functional accelerator's own counters (bbcache_*, zero under
+ * bb_cache=0) and the outcome of the checks themselves.
+ */
+bool
+hostOnlyField(const std::string &key)
+{
+    for (const char *prefix : {"host_", "warm_", "bbcache_"}) {
+        if (key.rfind(prefix, 0) == 0)
+            return true;
+    }
+    return key == "validated" || key == "audit_violations";
+}
+
 TEST(SweepKey, DeterministicAndSensitive)
 {
-    SimConfig a = makeSegmentedConfig(128, 64, true, true, "swim");
-    EXPECT_EQ(sweepKey(a), sweepKey(a));
-
-    SimConfig b = a;
-    b.core.iq.numEntries = 256;
-    EXPECT_NE(sweepKey(a), sweepKey(b));
-
-    SimConfig c = a;
-    c.workload = "gcc";
-    EXPECT_NE(sweepKey(a), sweepKey(c));
-
-    SimConfig d = a;
-    d.wl.iterations = 999;
-    EXPECT_NE(sweepKey(a), sweepKey(d));
-
-    SimConfig e = a;
-    e.core.iqKind = IqKind::Ideal;
-    EXPECT_NE(sweepKey(a), sweepKey(e));
-
-    // Both change simulated cycles, so both are part of a job's
-    // identity (wrong-path modelling for every IQ kind).
-    SimConfig f = a;
-    f.core.modelWrongPath = !a.core.modelWrongPath;
-    EXPECT_NE(sweepKey(a), sweepKey(f));
-    SimConfig g = e;
-    g.core.modelWrongPath = !e.core.modelWrongPath;
-    EXPECT_NE(sweepKey(e), sweepKey(g));
-
-    SimConfig h = a;
-    h.core.iq.resizeInterval = a.core.iq.resizeInterval + 16;
-    EXPECT_NE(sweepKey(a), sweepKey(h));
+    // Every Identity field of the table moves the key, for every IQ
+    // kind; no Job or Local field does.
+    const std::vector<SimConfig> kinds = {
+        makeSegmentedConfig(128, 64, true, true, "swim"),
+        makeIdealConfig(128, "swim"),
+        makePrescheduledConfig(128, "swim"),
+        makeFifoConfig(8, 16, "swim"),
+    };
+    std::set<std::string> identity;
+    for (const SimConfig &a : kinds) {
+        EXPECT_EQ(sweepKey(a), sweepKey(a));
+        for (std::size_t n = 0;; ++n) {
+            SimConfig b = a;
+            Flipper flip(n, "/elsewhere");
+            visitConfigFields(flip, b);
+            if (flip.key.empty())
+                break;
+            if (flip.cls & ConfigClass::Identity) {
+                identity.insert(flip.key);
+                EXPECT_NE(sweepKey(a), sweepKey(b))
+                    << flip.key << " on " << iqKindName(a.core.iqKind);
+            } else {
+                EXPECT_EQ(sweepKey(a), sweepKey(b))
+                    << flip.key << " on " << iqKindName(a.core.iqKind);
+            }
+        }
+    }
+    // Knobs that change cycles and once drifted out of the key.
+    for (const char *key : {"wrong_path", "resize_interval",
+                            "fault_commit_stall", "fault_overpromote"})
+        EXPECT_EQ(identity.count(key), 1u) << key;
 }
 
 TEST(SweepKey, HostOnlySettingsExcluded)
 {
-    // Checkpoint caching, auditing and fault injection change how a
-    // result is produced, never what it is - they must not invalidate
-    // journal entries on resume.
-    SimConfig a = makeSegmentedConfig(128, 64, true, true, "swim");
-    SimConfig b = a;
-    b.ckptDir = "/somewhere/else";
-    b.audit = true;
-    b.validate = false;
-    b.bbCache = !a.bbCache;
-    EXPECT_EQ(sweepKey(a), sweepKey(b));
+    // Job and Local settings (auditing, checkpoint paths, deadlines,
+    // injector budgets) change how a result is produced or checked,
+    // never what it is - they must not invalidate journal entries, and
+    // the result itself must agree outside host timing and the checks.
+    ScratchDir dir("host-only");
+    SimConfig a = makeSegmentedConfig(64, 32, true, true, "swim");
+    a.wl.iterations = 200;
+    a.fastForward = 2000;  // so the checkpoint paths are exercised
+    const RunResult clean = runSim(a);
+    ResultFields base;
+    visitRunResultFields(base, clean);
+
+    std::size_t flipped = 0;
+    for (std::size_t n = 0;; ++n) {
+        SimConfig b = a;
+        Flipper flip(n, dir.str());
+        visitConfigFields(flip, b);
+        if (flip.key.empty())
+            break;
+        if (flip.cls & ConfigClass::Identity)
+            continue;
+        ++flipped;
+        b.apply(ConfigMap());  // turns a flipped budget into an injector
+        EXPECT_EQ(sweepKey(a), sweepKey(b)) << flip.key;
+        const RunResult r = SweepRunner(1).run({b})[0];
+        EXPECT_TRUE(r.outcome.ok()) << flip.key << ": "
+                                    << r.outcome.message;
+        ResultFields got;
+        visitRunResultFields(got, r);
+        for (const auto &[key, value] : base.f) {
+            if (!hostOnlyField(key)) {
+                EXPECT_EQ(got.f[key], value)
+                    << flip.key << " moved " << key;
+            }
+        }
+    }
+    EXPECT_GE(flipped, 10u);
 }
 
 // The suite name predates the removal of lockstep batching; the test

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/errors.hh"
 #include "iq/prescheduled_iq.hh"
 #include "iq_harness.hh"
 
@@ -52,8 +53,11 @@ TEST_F(PreschedFixture, GeometryFromParams)
     auto iq = makeIq();
     EXPECT_EQ(iq->numLines(), 8u);
     IqParams bad = params;
+    // Bad geometry is user input, so a config error, not a panic.
     bad.numEntries = 4 + 15;  // not a multiple of the line width
-    EXPECT_THROW(PrescheduledIq(bad, scoreboard, fu), PanicError);
+    EXPECT_THROW(PrescheduledIq(bad, scoreboard, fu), ConfigError);
+    bad.numEntries = bad.issueBufferSize;  // no scheduling array
+    EXPECT_THROW(PrescheduledIq(bad, scoreboard, fu), ConfigError);
 }
 
 TEST_F(PreschedFixture, ReadyInstructionPlacedInLineZero)

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include "common/errors.hh"
+#include "sim/config_fields.hh"
 #include "sim/fault_injector.hh"
 #include "sim/journal.hh"
 #include "sim/shard.hh"
@@ -141,15 +142,46 @@ TEST(Shard, ConfigSpecRoundTripsEveryIqKind)
     cfgs[2].core.iq.preschedLineWidth = 7;
     cfgs[3].core.iq.fifoDepth = 16;
     cfgs[3].bbCache = false;
+    for (SimConfig &cfg : cfgs)
+        cfg.wl.scale = 0.123456789;  // 6 significant digits would lose it
 
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         const std::string spec = configSpec(cfgs[i]);
         const SimConfig back = configFromSpec(spec);
-        // The spec must reproduce the job's full architected identity:
-        // same sweep key and a fixpoint spec.
+        // The spec must reproduce every Identity and Job field of the
+        // table exactly, doubles included, and be a fixpoint.
+        EXPECT_EQ(back.wl.scale, 0.123456789) << "config " << i;
+        const unsigned wire = ConfigClass::Identity | ConfigClass::Job;
+        EXPECT_EQ(configString(back, wire), configString(cfgs[i], wire))
+            << "config " << i;
         EXPECT_EQ(sweepKey(back), sweepKey(cfgs[i])) << "config " << i;
         EXPECT_EQ(configSpec(back), spec) << "config " << i;
     }
+}
+
+TEST(Shard, ConfigFromSpecRejectsUnknownKey)
+{
+    // A typo'd key must not silently run the default configuration.
+    try {
+        configFromSpec("workload=swim chians=64");
+        FAIL() << "typo'd key accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("did you mean 'chains'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ConfigFields, SweepFlagKeepsTheFrontEndKeys)
+{
+    // The keys a bench applies to every job, and sweep_serve's preset
+    // overrides.  Flagging another key widens both front ends.
+    const std::vector<std::string> bench = {
+        "iters",    "ff",              "audit",    "audit_panic",
+        "bb_cache", "watchdog_cycles", "ckpt_dir", "deadline_sec"};
+    EXPECT_EQ(configKeys(ConfigClass::All, ConfigClass::Sweep), bench);
+    EXPECT_EQ(configKeys(ConfigClass::Identity, ConfigClass::Sweep),
+              (std::vector<std::string>{"iters", "ff"}));
 }
 
 TEST(Shard, ConfigFromSpecRejectsJunk)

@@ -206,6 +206,32 @@ TEST(SweepFaultContainment, FailedJobContainedOthersBitIdentical)
     }
 }
 
+TEST(SweepFaultContainment, BadGeometryIsAContainedConfigError)
+{
+    // A zero segment size used to divide by zero and kill the whole
+    // sweep; a non-multiple size was reported as a simulator bug, as
+    // was a scheduling array that is not a multiple of its line width.
+    std::vector<SimConfig> cfgs(3, makeSegmentedConfig(64, 32, true, true,
+                                                       "swim"));
+    cfgs.push_back(makePrescheduledConfig(128, "swim"));
+    for (SimConfig &cfg : cfgs)
+        cfg.wl.iterations = 200;
+    cfgs[0].core.iq.segmentSize = 0;
+    cfgs[2].core.iq.segmentSize = 24;
+    cfgs[3].core.iq.preschedLineWidth = 5;  // 96 array slots
+
+    const std::vector<RunResult> results = SweepRunner(2).run(cfgs);
+    ASSERT_EQ(results.size(), 4u);
+    for (std::size_t i : {0u, 2u, 3u}) {
+        EXPECT_EQ(results[i].outcome.status, JobOutcome::Status::Failed)
+            << "config " << i;
+        EXPECT_EQ(results[i].outcome.code, ErrorCode::Config)
+            << "config " << i << ": " << results[i].outcome.message;
+    }
+    EXPECT_TRUE(results[1].outcome.ok()) << results[1].outcome.message;
+    EXPECT_TRUE(results[1].haltedCleanly);
+}
+
 TEST(SweepFaultContainment, FailedJobSurfacesInJson)
 {
     std::vector<SimConfig> cfgs = smallConfigSet();
