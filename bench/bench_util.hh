@@ -12,15 +12,16 @@
  *   bench_out=path    also write every result as JSON to `path`
  *   ff=N         fast-forward N instructions before the timed run
  *                (count keys accept k/m/g suffixes, e.g. ff=300m)
- *   ckpt_reuse=0      disable the in-process sweep-level checkpoint
- *                     cache (each run fast-forwards cold again)
  *   journal=path      append-only JSONL result journal; restarting the
  *                     bench re-runs only unfinished/failed jobs
  *   retries=N    extra attempts for transient job errors (default 2)
  *   artifact_dir=path failure artifacts (pipeline dumps) land here
  *   plus the Job and Local keys the config table (config_fields.hh)
- *   flags Sweep, applied to every job: audit=1, bb_cache=0,
- *   ckpt_dir=path, watchdog_cycles=N, deadline_sec=S, ...
+ *   flags Sweep, applied to every job: audit=1, audit_panic=1,
+ *   ckpt_dir=path, watchdog_cycles=N, deadline_sec=S
+ *
+ * Jobs that fast-forward share one checkpoint cache per sweep, so each
+ * distinct warm-up runs once.
  *
  * Unknown keys are rejected with a "did you mean" suggestion so a
  * typo'd override fails loudly instead of silently measuring the
@@ -55,7 +56,6 @@ struct BenchArgs
     unsigned jobs = 0;        ///< 0 = hardware concurrency
     std::string benchOut;     ///< JSON output path ("" = none)
     std::uint64_t ff = 0;     ///< fast-forward length (0 = none)
-    bool ckptReuse = true;    ///< share warm-ups across the sweep
     std::string journal;      ///< resumable result journal ("" = off)
     unsigned retries = 2;     ///< transient-error retry budget
     std::string artifactDir;  ///< failure artifacts ("" = env/off)
@@ -91,17 +91,15 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
     std::vector<std::string> known =
         configKeys(ConfigClass::All, ConfigClass::Sweep);
     known.insert(known.end(),
-                 {"quick", "workloads", "jobs", "bench_out", "ckpt_reuse",
-                  "journal", "retries", "artifact_dir"});
+                 {"quick", "workloads", "jobs", "bench_out", "journal",
+                  "retries", "artifact_dir"});
     known.insert(known.end(), extra_known.begin(), extra_known.end());
     try {
         const std::string complaint = args.raw.unknownKeyMessage(known);
         if (!complaint.empty())
             throw ConfigError(complaint);
-        for (const char *key : {"jobs", "retries"}) {
-            if (args.raw.getCount(key, 0) < 0)
-                throw ConfigError(std::string(key) + "= must be >= 0");
-        }
+        args.jobs = args.raw.getUnsigned("jobs", 0);
+        args.retries = args.raw.getUnsigned("retries", 2);
         SimConfig().apply(sweepKeys);  // range-check the values
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ERROR: %s\n", e.what());
@@ -111,12 +109,9 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
     args.iters =
         static_cast<std::uint64_t>(args.raw.getCount("iters", 0));
     args.quick = args.raw.getBool("quick", false);
-    args.jobs = static_cast<unsigned>(args.raw.getInt("jobs", 0));
     args.benchOut = args.raw.getString("bench_out", "");
     args.ff = static_cast<std::uint64_t>(args.raw.getCount("ff", 0));
-    args.ckptReuse = args.raw.getBool("ckpt_reuse", true);
     args.journal = args.raw.getString("journal", "");
-    args.retries = static_cast<unsigned>(args.raw.getInt("retries", 2));
     args.artifactDir = args.raw.getString("artifact_dir", "");
     std::string wls = args.raw.getString("workloads", "");
     if (wls.empty()) {
@@ -182,16 +177,13 @@ class SweepBatch
         // configuration restores the snapshot.  ckpt_dir= (applied to
         // every config) additionally persists the blobs so later
         // sweeps skip warm-up entirely.
-        bool anyFf = false;
-        for (const SimConfig &cfg : configs_)
-            anyFf = anyFf || cfg.fastForward > 0;
-        if (anyFf && args_.ckptReuse) {
-            auto cache = std::make_shared<CheckpointCache>(
-                configs_.front().ckptDir);
-            for (SimConfig &cfg : configs_) {
-                if (!cfg.ckptCache && cfg.ckptFile.empty())
-                    cfg.ckptCache = cache;
-            }
+        std::shared_ptr<CheckpointCache> cache;
+        for (SimConfig &cfg : configs_) {
+            if (cfg.fastForward == 0 || cfg.ckptCache)
+                continue;
+            if (!cache)
+                cache = std::make_shared<CheckpointCache>(cfg.ckptDir);
+            cfg.ckptCache = cache;
         }
         SweepRunner runner(args_.jobs);
         SweepRunner::Options options;

@@ -6,8 +6,9 @@
  * For every workload it measures functional-warming throughput
  * (fastForward with cache/predictor training) and pure functional
  * execution throughput (FunctionalCore::run, no training), each with
- * the step()-based cold-decode interpreter (bb_cache=0) and with the
- * basic-block cache (bb_cache=1), best-of `repeats` timed runs.
+ * the step()-based cold-decode interpreter (FunctionalCore's
+ * bb_cache=false) and with the basic-block cache, best-of `repeats`
+ * timed runs.
  *
  * Arguments:
  *   warm_insts=N  instructions per timed run (default 2m; quick: 400k;
@@ -42,10 +43,10 @@ struct WorkloadNumbers
 {
     std::string workload;
     std::uint64_t warmInsts = 0;
-    double warmStepIps = 0.0;  ///< fastForward, bb_cache=0
-    double warmBbIps = 0.0;    ///< fastForward, bb_cache=1
-    double runStepIps = 0.0;   ///< pure run(), bb_cache=0
-    double runBbIps = 0.0;     ///< pure run(), bb_cache=1
+    double warmStepIps = 0.0;  ///< fastForward, step path
+    double warmBbIps = 0.0;    ///< fastForward, block cache
+    double runStepIps = 0.0;   ///< pure run(), step path
+    double runBbIps = 0.0;     ///< pure run(), block cache
     std::uint64_t bbBlocks = 0;
     std::uint64_t bbOpsCached = 0;
     std::uint64_t bbTraceHits = 0;

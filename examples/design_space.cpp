@@ -9,17 +9,20 @@
  */
 
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "common/config.hh"
+#include "sim/job_exec.hh"
 #include "sim/simulator.hh"
 
 using namespace sciq;
 
+namespace {
+
 int
-main(int argc, char **argv)
+exploreDesignSpace(const ConfigMap &args)
 {
-    ConfigMap args = ConfigMap::fromArgs(argc, argv);
     const std::string wl = args.getString("workload", "equake");
     const auto iters =
         static_cast<std::uint64_t>(args.getInt("iters", 3000));
@@ -62,4 +65,16 @@ main(int argc, char **argv)
                 "segments hit the sweet\nspot. Peak chain usage above "
                 "the wire budget means dispatch stalled on chains.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return exploreDesignSpace(ConfigMap::fromArgs(argc, argv));
+    } catch (...) {
+        return job_exec::reportFailure(std::current_exception());
+    }
 }

@@ -9,11 +9,13 @@
  */
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "common/config.hh"
 #include "isa/assembler.hh"
 #include "isa/disassembler.hh"
+#include "sim/job_exec.hh"
 #include "sim/simulator.hh"
 
 using namespace sciq;
@@ -41,13 +43,9 @@ loop:
     halt
 )";
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runQuickstart(const ConfigMap &overrides)
 {
-    ConfigMap overrides = ConfigMap::fromArgs(argc, argv);
-
     // --- 1. A hand-written program through the text assembler --------
     Program prog = assemble(kSource, "quickstart");
     std::cout << "Assembled " << prog.size() << " instructions:\n"
@@ -81,4 +79,16 @@ main(int argc, char **argv)
     std::cout << "  state validated against functional model: "
               << (r.validated ? "yes" : "NO") << "\n";
     return r.validated ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runQuickstart(ConfigMap::fromArgs(argc, argv));
+    } catch (...) {
+        return job_exec::reportFailure(std::current_exception());
+    }
 }

@@ -9,6 +9,9 @@
  *   runner workload=gcc iq=prescheduled iq_size=320 stats=1
  *   runner workload=equake ff=5000 iters=2000 resize=1
  *   runner help=1      lists every config key (config_fields.hh)
+ *
+ * A failed run prints `ERROR: [<code>] <message>` and exits 2 for a
+ * config or workload error, 1 for any other.
  */
 
 #include <exception>
@@ -16,14 +19,16 @@
 
 #include "common/config.hh"
 #include "sim/config_fields.hh"
+#include "sim/job_exec.hh"
 #include "sim/simulator.hh"
 
 using namespace sciq;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runOne(const ConfigMap &args)
 {
-    ConfigMap args = ConfigMap::fromArgs(argc, argv);
     SimConfig cfg = makeSegmentedConfig(512, 128, true, true, "swim");
     if (args.has("help")) {
         // Every config key with its value here; integers accept k/m/g.
@@ -35,12 +40,7 @@ main(int argc, char **argv)
                   << "\n\nrunner keys: stats=0/1 (dump all statistics)\n";
         return 0;
     }
-    try {
-        cfg.apply(args, {"stats", "help"});
-    } catch (const std::exception &e) {
-        std::cerr << "ERROR: " << e.what() << "\n";
-        return 2;
-    }
+    cfg.apply(args, {"stats", "help"});
 
     cfg.printParameters(std::cout);
     std::cout << '\n';
@@ -61,4 +61,16 @@ main(int argc, char **argv)
         sim.warmStatGroup().dump(std::cout);
     }
     return r.haltedCleanly && (!cfg.validate || r.validated) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runOne(ConfigMap::fromArgs(argc, argv));
+    } catch (...) {
+        return job_exec::reportFailure(std::current_exception());
+    }
 }

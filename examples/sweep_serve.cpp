@@ -34,7 +34,6 @@
 #include "common/config.hh"
 #include "sim/checkpoint.hh"
 #include "sim/config_fields.hh"
-#include "sim/fault_injector.hh"
 #include "sim/shard.hh"
 #include "sim/worker_proto.hh"
 
@@ -139,9 +138,7 @@ main(int argc, char **argv)
             "      drain_ms=N           SIGTERM/SIGINT drain window\n"
             "      journal=FILE out=FILE sync_journal=0|1\n"
             "      jobs=N ckpt_dir=DIR  (mode=local)\n"
-            "      retries=N artifact_dir=DIR\n"
-            "      fault_coord_abort=N fault_seed=N  (chaos testing:\n"
-            "      _exit(137) after journaling the Nth result)\n";
+            "      retries=N artifact_dir=DIR\n";
         return 0;
     }
     // iters/ff: the Sweep-flagged identity keys, set on every config.
@@ -152,11 +149,38 @@ main(int argc, char **argv)
                   "listen", "workers", "lease_ms", "lease_drops",
                   "dup_ms", "grace_ms", "heartbeat_ms", "drain_ms",
                   "journal", "out", "sync_journal", "jobs", "ckpt_dir",
-                  "retries", "artifact_dir", "fault_coord_abort",
-                  "fault_seed", "help"});
+                  "retries", "artifact_dir", "help"});
     const std::string complaint = args.unknownKeyMessage(known);
     if (!complaint.empty()) {
         std::cerr << complaint << "\n";
+        return 2;
+    }
+
+    // Counts and the listener are checked before any work, so a
+    // negative count cannot wrap into a huge unsigned.
+    ServeOptions serve;
+    SweepRunner::Options local;
+    unsigned jobs = 0;
+    try {
+        if (args.has("listen")) {
+            // Validate up front so a typo fails with a what-to-write
+            // message instead of a late bind error.
+            serve.endpoint = tcpEndpoint(args.getString("listen")).str();
+        } else {
+            serve.endpoint =
+                args.getString("socket", "/tmp/sciq-sweep.sock");
+        }
+        serve.shards = args.getUnsigned("workers", 1);
+        serve.leaseMs = args.getUnsigned("lease_ms", 60'000);
+        serve.maxLeaseDrops = args.getUnsigned("lease_drops", 3);
+        serve.duplicateAfterMs = args.getUnsigned("dup_ms", 1'000);
+        serve.workerGraceMs = args.getUnsigned("grace_ms", 60'000);
+        serve.heartbeatMs = args.getUnsigned("heartbeat_ms", 1'000);
+        serve.drainGraceMs = args.getUnsigned("drain_ms", 2'000);
+        local.maxRetries = args.getUnsigned("retries", 2);
+        jobs = args.getUnsigned("jobs", 0);
+    } catch (const std::exception &e) {
+        std::cerr << "sweep_serve: " << e.what() << "\n";
         return 2;
     }
 
@@ -190,12 +214,9 @@ main(int argc, char **argv)
         };
 
         if (mode == "local") {
-            SweepRunner::Options options;
-            options.journal = args.getString("journal");
-            options.maxRetries =
-                static_cast<unsigned>(args.getInt("retries", 2));
-            options.artifactDir = args.getString("artifact_dir");
-            options.progress = progress;
+            local.journal = args.getString("journal");
+            local.artifactDir = args.getString("artifact_dir");
+            local.progress = progress;
 
             // Mirror the distributed fleet's shared warm-state store:
             // one cache for the whole sweep (bench_util.hh idiom).
@@ -209,54 +230,20 @@ main(int argc, char **argv)
                 cfg.ckptCache = cache;
             }
 
-            SweepRunner runner(
-                static_cast<unsigned>(args.getInt("jobs", 0)));
-            results = runner.run(configs, options);
+            results = SweepRunner(jobs).run(configs, local);
         } else if (mode == "serve") {
-            ServeOptions options;
-            if (args.has("listen")) {
-                // Validate up front so a typo fails with a what-to-write
-                // message instead of a late bind error.
-                options.endpoint =
-                    tcpEndpoint(args.getString("listen")).str();
-            } else {
-                options.endpoint =
-                    args.getString("socket", "/tmp/sciq-sweep.sock");
-            }
-            options.shards =
-                static_cast<unsigned>(args.getInt("workers", 1));
-            options.leaseMs =
-                static_cast<unsigned>(args.getInt("lease_ms", 60'000));
-            options.maxLeaseDrops =
-                static_cast<unsigned>(args.getInt("lease_drops", 3));
-            options.duplicateAfterMs =
-                static_cast<unsigned>(args.getInt("dup_ms", 1'000));
-            options.workerGraceMs =
-                static_cast<unsigned>(args.getInt("grace_ms", 60'000));
-            options.heartbeatMs = static_cast<unsigned>(
-                args.getInt("heartbeat_ms", 1'000));
-            options.drainGraceMs =
-                static_cast<unsigned>(args.getInt("drain_ms", 2'000));
-            options.journal = args.getString("journal");
-            options.syncJournal = args.getInt("sync_journal", 1) != 0;
-            options.progress = progress;
-            options.abortExits = true;
-            if (args.has("fault_coord_abort")) {
-                options.faults = std::make_shared<FaultInjector>(
-                    static_cast<std::uint64_t>(
-                        args.getInt("fault_seed", 1)));
-                options.faults->abortCoordinator =
-                    args.getInt("fault_coord_abort", 0);
-            }
+            serve.journal = args.getString("journal");
+            serve.syncJournal = args.getInt("sync_journal", 1) != 0;
+            serve.progress = progress;
 
             // Graceful drain on SIGTERM/SIGINT: stop leasing, journal
             // the in-flight results, exit 3 so supervisors restart us.
             std::signal(SIGINT, onStopSignal);
             std::signal(SIGTERM, onStopSignal);
-            options.stop = &g_stop;
+            serve.stop = &g_stop;
 
             ServeStats stats;
-            results = serveSweep(configs, options, &stats);
+            results = serveSweep(configs, serve, &stats);
             interrupted = stats.interrupted;
             std::cout << "served " << results.size() << " jobs to "
                       << stats.workersSeen << " workers: "

@@ -18,10 +18,8 @@
  */
 
 #include <iostream>
-#include <memory>
 
 #include "common/config.hh"
-#include "sim/fault_injector.hh"
 #include "sim/shard.hh"
 #include "sim/worker_proto.hh"
 
@@ -40,18 +38,13 @@ main(int argc, char **argv)
             "      retries=N backoff_ms=N artifact_dir=DIR\n"
             "      connect_timeout_ms=N\n"
             "      reconnects=N reconnect_ms=N   coordinator-loss "
-            "retry policy\n"
-            "      fault_worker_abort=N fault_conn_drop=N fault_seed=N\n"
-            "      (chaos testing: _exit(137) in place of the Nth "
-            "result /\n"
-            "      sever the connection at the Nth result send)\n";
+            "retry policy\n";
         return 0;
     }
     const std::string complaint = args.unknownKeyMessage(
         {"socket", "connect", "name", "ckpt_dir", "retries",
          "backoff_ms", "artifact_dir", "connect_timeout_ms",
-         "reconnects", "reconnect_ms", "fault_worker_abort",
-         "fault_conn_drop", "fault_seed", "help"});
+         "reconnects", "reconnect_ms", "help"});
     if (!complaint.empty()) {
         std::cerr << complaint << "\n";
         return 2;
@@ -67,6 +60,13 @@ main(int argc, char **argv)
         } else {
             options.endpoint = args.getString("socket");
         }
+        // Range-checked, so a negative count cannot wrap.
+        options.maxRetries = args.getUnsigned("retries", 2);
+        options.backoffMs = args.getUnsigned("backoff_ms", 10);
+        options.connectTimeoutMs =
+            args.getUnsigned("connect_timeout_ms", 10'000);
+        options.maxReconnects = args.getUnsigned("reconnects", 8);
+        options.reconnectBackoffMs = args.getUnsigned("reconnect_ms", 100);
     } catch (const std::exception &e) {
         std::cerr << "sweep_worker: " << e.what() << "\n";
         return 2;
@@ -77,25 +77,7 @@ main(int argc, char **argv)
     }
     options.name = args.getString("name", "worker");
     options.ckptDir = args.getString("ckpt_dir");
-    options.maxRetries = static_cast<unsigned>(args.getInt("retries", 2));
-    options.backoffMs =
-        static_cast<unsigned>(args.getInt("backoff_ms", 10));
     options.artifactDir = args.getString("artifact_dir");
-    options.connectTimeoutMs =
-        static_cast<unsigned>(args.getInt("connect_timeout_ms", 10'000));
-    options.maxReconnects =
-        static_cast<unsigned>(args.getInt("reconnects", 8));
-    options.reconnectBackoffMs =
-        static_cast<unsigned>(args.getInt("reconnect_ms", 100));
-    options.abortExits = true;
-    if (args.has("fault_worker_abort") || args.has("fault_conn_drop")) {
-        options.faults = std::make_shared<FaultInjector>(
-            static_cast<std::uint64_t>(args.getInt("fault_seed", 1)));
-        options.faults->abortWorker =
-            args.getInt("fault_worker_abort", 0);
-        options.faults->dropConnection =
-            args.getInt("fault_conn_drop", 0);
-    }
 
     const WorkerReport report = runWorker(options);
     std::cout << options.name << ": ran " << report.jobsRun << " jobs, "

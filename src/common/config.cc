@@ -65,6 +65,16 @@ ConfigMap::getInt(const std::string &key, std::int64_t def) const
     return v;
 }
 
+unsigned
+ConfigMap::getUnsigned(const std::string &key, unsigned def) const
+{
+    const std::int64_t v = getInt(key, def);
+    if (v < 0 || v > std::numeric_limits<unsigned>::max())
+        fatal("config key '%s': '%s' is out of range (0..%u)", key.c_str(),
+              getString(key).c_str(), std::numeric_limits<unsigned>::max());
+    return static_cast<unsigned>(v);
+}
+
 std::int64_t
 ConfigMap::getCount(const std::string &key, std::int64_t def) const
 {

@@ -35,6 +35,12 @@ class ConfigMap
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
 
     /**
+     * getInt limited to 0..UINT32_MAX, so a negative or oversized
+     * value is fatal (naming the key) instead of wrapping in a cast.
+     */
+    unsigned getUnsigned(const std::string &key, unsigned def) const;
+
+    /**
      * Like getInt but accepting a decimal k/m/g suffix (case
      * insensitive, powers of ten: k=1e3, m=1e6, g=1e9), so counts can
      * be written `ff=300m` or `max_cycles=2g`.  The base may be

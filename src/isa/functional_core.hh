@@ -14,8 +14,9 @@
  *     page-cached memory), dispatching block-at-a-time.  This is the
  *     hot path for functional warming (5-10x the step() throughput).
  *
- * run() uses the block path when the cache is enabled (the default;
- * construct with bb_cache=false or `bb_cache=0` for the reference).
+ * run() uses the block path when the cache is enabled (the default,
+ * and the only path the simulator takes); construct with
+ * bb_cache=false for the reference, which tests and micro_warm do.
  */
 
 #ifndef SCIQ_ISA_FUNCTIONAL_CORE_HH

@@ -79,15 +79,10 @@ visitConfigFields(V &&v, C &c)
     v("validate", J, c.validate);
     v("audit", J | S, c.audit);
     v("audit_panic", J | S, c.auditPanic);
-    v("bb_cache", J | S, c.bbCache);
     v("watchdog_cycles", J | S, c.core.watchdogCycles);
 
-    v("ckpt", L, c.ckptFile);
     v("ckpt_dir", L | S, c.ckptDir);
     v("deadline_sec", L | S, c.deadlineSec);
-    v("fault_seed", L, c.faultSeed);
-    v("fault_ckpt_corrupt", L, c.faultCkptCorrupt, -1);  // -1 = always
-    v("fault_disk_fail", L, c.faultDiskFail, -1);
 }
 
 /** Every table key in `classes` that has all of `flags`, in order. */

@@ -125,7 +125,7 @@ fastForward(FunctionalCore &golden, OooCore &core, std::uint64_t insts)
         stats.hitHalt = golden.halted();
         stats.instsSkipped = ran - (stats.hitHalt ? 1 : 0);
     } else {
-        // step()-based reference path (bb_cache=0).
+        // step()-based reference path (FunctionalCore(prog, false)).
         for (std::uint64_t i = 0; i < insts && !golden.halted(); ++i) {
             if (!golden.step())
                 break;

@@ -6,14 +6,20 @@
  * into a small menu of faults that each target one detection/recovery path so
  * negative tests can prove the path actually fires:
  *
- *   - checkpoint-blob corruption   -> trailer checksum rejection, and
- *     either the cache's warn+repair path or a sweep-level retry
+ *   - checkpoint-blob corruption   -> trailer checksum rejection and
+ *     the checkpoint cache's warn+repair path
  *   - transient disk-write failure -> transient CheckpointError, eaten
  *     by the sweep runner's bounded retry
  *   - forced IQ over-promotion     -> auditor promotion-bound violation
- *     (aliases IqParams::auditInjectOverPromote)
+ *     (IqParams::auditInjectOverPromote)
  *   - artificial commit stall      -> watchdog DeadlockError with a
  *     pipeline state dump (CoreParams::faultCommitStallAt)
+ *
+ * The last two change cycles, so they are identity config keys
+ * (`fault_overpromote=`, `fault_commit_stall=`).  This injector carries
+ * the rest and is reachable from tests only, through the `faults`
+ * member of SimConfig, ServeOptions and WorkerOptions; no config key
+ * or command-line option builds one.
  *
  * Budgeted faults (`corruptCkptReads`, `failDiskWrites`) count down
  * atomically: a budget of 1 faults exactly the first attempt and lets
@@ -23,12 +29,13 @@
  * reproducible.
  *
  * Chaos faults for the distributed service (DESIGN.md §18) use
- * fire-at-Nth semantics instead: `abortWorker = N` kills the worker at
- * its Nth finished job, `abortCoordinator = N` kills the coordinator
- * at the Nth journaled result, `dropConnection = N` severs the worker
- * connection at its Nth result send.  At-N (not first-N) placement is
- * what lets a seeded chaos trial plant a crash anywhere in the sweep,
- * not just at its start; -1 still means "every opportunity".
+ * fire-at-Nth semantics instead: `abortWorker = N` drops the worker's
+ * connection in place of its Nth finished job's result,
+ * `abortCoordinator = N` throws out of the coordinator at the Nth
+ * journaled result, `dropConnection = N` severs the worker connection
+ * at its Nth result send.  At-N (not first-N) placement is what lets a
+ * seeded chaos trial plant a crash anywhere in the sweep, not just at
+ * its start; -1 still means "every opportunity".
  */
 
 #ifndef SCIQ_SIM_FAULT_INJECTOR_HH
@@ -55,8 +62,8 @@ class FaultInjector
 
     /**
      * Abort the worker at its Nth finished job (-1 = every job): the
-     * distributed worker (shard.cc) dies in place of sending its
-     * finished result - the lease stays outstanding, so the
+     * distributed worker (shard.cc) drops its connection in place of
+     * sending its finished result - the lease stays outstanding, so the
      * coordinator's lease-expiry/EOF requeue path has to recover the
      * job.  Chaos coverage for DESIGN.md §17.
      */
@@ -119,7 +126,6 @@ class FaultInjector
     std::uint64_t workerAborts() const { return aborted_.load(); }
     std::uint64_t coordAborts() const { return coordAborts_.load(); }
     std::uint64_t connDrops() const { return connDrops_.load(); }
-    std::uint64_t seed() const { return seed_; }
 
   private:
     static bool

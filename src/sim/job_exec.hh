@@ -4,13 +4,15 @@
  * classification through the error taxonomy, Failed/Timeout result
  * rows, and failure-artifact persistence (DESIGN.md §13).  Used by the
  * in-process sweep (sweep.cc) and the sharded sweep service (shard.cc)
- * so a contained failure looks identical however the job was executed.
+ * so a contained failure looks identical however the job was executed,
+ * and by the single-run examples to report one (reportFailure).
  */
 
 #ifndef SCIQ_SIM_JOB_EXEC_HH
 #define SCIQ_SIM_JOB_EXEC_HH
 
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -96,6 +98,21 @@ classify(std::exception_ptr ep)
         c.message = "unknown exception";
     }
     return c;
+}
+
+/**
+ * End a command-line run on the in-flight exception `ep`: print
+ * `ERROR: [<code>] <message>` and return the exit status, 2 for a user
+ * error (config, workload) and 1 for every other code.
+ */
+inline int
+reportFailure(std::exception_ptr ep)
+{
+    const Classified c = classify(ep);
+    std::fprintf(stderr, "ERROR: [%s] %s\n", errorCodeName(c.code),
+                 c.message.c_str());
+    return c.code == ErrorCode::Config || c.code == ErrorCode::Workload ? 2
+                                                                        : 1;
 }
 
 /** A Failed/Timeout row: config identity, zero stats, the outcome. */

@@ -312,8 +312,6 @@ serveSweep(const std::vector<SimConfig> &configs,
         // coordinator must resume from the journal while the worker
         // redelivers and gets deduped.
         if (options.faults && options.faults->takeCoordAbort()) {
-            if (options.abortExits)
-                ::_exit(137);
             throw ResourceError(
                 "injected coordinator abort after journaling job " +
                 std::to_string(index));
@@ -889,8 +887,6 @@ runWorker(const WorkerOptions &options)
                 // a worker killed mid-job — the coordinator must
                 // requeue the outstanding lease.
                 report.aborted = true;
-                if (options.abortExits)
-                    ::_exit(137);
                 link->ch.close();
                 return report;
             }

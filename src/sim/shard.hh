@@ -228,13 +228,11 @@ struct ServeOptions
     unsigned drainGraceMs = 2'000;
 
     /**
-     * Chaos injection: abortCoordinator fires in the ack path after a
-     * result is journaled (see FaultInjector).  abortExits selects
-     * `_exit(137)` (process chaos) vs a thrown ResourceError
-     * (in-process tests restart the coordinator in the same process).
+     * Chaos injection (tests only): abortCoordinator throws a
+     * ResourceError in the ack path after a result is journaled (see
+     * FaultInjector), and the test restarts the coordinator in-process.
      */
     std::shared_ptr<FaultInjector> faults;
-    bool abortExits = false;
 
     /**
      * When non-null, receives the bound TCP port (useful with port 0).
@@ -289,18 +287,12 @@ struct WorkerOptions
     std::string artifactDir;
 
     /**
-     * Seeded fault injection, shared across this worker's jobs.  The
-     * abortWorker budget kills the worker in place of sending a result
-     * (chaos testing: the lease is outstanding, the result is lost).
+     * Seeded fault injection (tests only), shared across this worker's
+     * jobs.  The abortWorker budget drops the connection and returns
+     * in place of sending a result, as a killed worker would (the
+     * lease is outstanding, the result is lost).
      */
     std::shared_ptr<FaultInjector> faults;
-
-    /**
-     * When the abortWorker fault fires: true = _exit(137) like a real
-     * `kill -9` (process workers); false = drop the connection and
-     * return (in-process test workers).
-     */
-    bool abortExits = false;
 
     unsigned connectTimeoutMs = 10'000;
 

@@ -8,7 +8,6 @@
 #include "common/errors.hh"
 #include "common/json.hh"
 #include "sim/config_fields.hh"
-#include "sim/fault_injector.hh"
 
 namespace sciq {
 
@@ -128,11 +127,6 @@ SimConfig::apply(const ConfigMap &cfg,
     if (!complaint.empty())
         throw ConfigError(complaint);
     visitConfigFields(Applier{cfg}, *this);
-    if (!faults && (faultCkptCorrupt != 0 || faultDiskFail != 0)) {
-        faults = std::make_shared<FaultInjector>(faultSeed);
-        faults->corruptCkptReads = faultCkptCorrupt;
-        faults->failDiskWrites = faultDiskFail;
-    }
 }
 
 void

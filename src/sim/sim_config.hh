@@ -63,22 +63,6 @@ struct SimConfig
     std::uint64_t fastForward = 0;
 
     /**
-     * Use the basic-block cache for the functional paths (warming and
-     * validation golden runs); `bb_cache=0` selects the step()-based
-     * reference interpreter.  Results are bit-identical either way —
-     * this is pure acceleration, kept switchable as a differential
-     * check.
-     */
-    bool bbCache = true;
-
-    /**
-     * Explicit checkpoint file (key: `ckpt=`): restore the warm-up
-     * from this file if it exists, otherwise fast-forward cold and
-     * save it there.  Requires fastForward > 0.
-     */
-    std::string ckptFile;
-
-    /**
      * Checkpoint cache directory (key: `ckpt_dir=`): warm-ups are
      * restored from / persisted to `<dir>/ckpt-<key>.sciqckpt`, keyed
      * by checkpointKeyHash().  Requires fastForward > 0.
@@ -94,17 +78,9 @@ struct SimConfig
     std::shared_ptr<CheckpointCache> ckptCache;
 
     /**
-     * Injector seed and budgets (keys: `fault_seed=`,
-     * `fault_ckpt_corrupt=`, `fault_disk_fail=`; -1 = every attempt).
-     * apply() turns nonzero budgets into `faults`, once.
-     */
-    std::uint64_t faultSeed = 1;
-    std::int64_t faultCkptCorrupt = 0;
-    std::int64_t faultDiskFail = 0;
-
-    /**
-     * Optional fault injector (see fault_injector.hh).  Shared across
-     * a job's retries so fault budgets span them.
+     * Optional fault injector (see fault_injector.hh), set by tests;
+     * no config key reaches it.  Shared across a job's retries so
+     * fault budgets span them.
      */
     std::shared_ptr<FaultInjector> faults;
 

@@ -70,12 +70,11 @@ Simulator::noteWarm(double seconds, std::uint64_t insts,
     warmSecondsStat_.set(seconds);
     if (seconds > 0.0)
         warmIpsStat_.set(static_cast<double>(insts) / seconds);
-    if (const BbCache *bb = warm.blockCache()) {
-        bbBlocksStat_.set(static_cast<double>(bb->blocksDiscovered()));
-        bbOpsStat_.set(static_cast<double>(bb->opsCached()));
-        bbTraceHitsStat_.set(static_cast<double>(bb->traceHits()));
-        bbSuccHitsStat_.set(static_cast<double>(bb->succHits()));
-    }
+    const BbCache &bb = *warm.blockCache();  // the simulator always has one
+    bbBlocksStat_.set(static_cast<double>(bb.blocksDiscovered()));
+    bbOpsStat_.set(static_cast<double>(bb.opsCached()));
+    bbTraceHitsStat_.set(static_cast<double>(bb.traceHits()));
+    bbSuccHitsStat_.set(static_cast<double>(bb.succHits()));
 }
 
 std::uint64_t
@@ -83,69 +82,32 @@ Simulator::warmUp(bool &restored)
 {
     restored = false;
 
-    auto coldFf = [&]() -> FastForwardStats {
-        FunctionalCore warm(*program_, config.bbCache);
+    // Fast-forward cold; with `blob`, also snapshot the warm state.
+    auto coldWarmUp = [&](std::string *blob) {
+        FunctionalCore warm(*program_);
         const auto t0 = std::chrono::steady_clock::now();
-        FastForwardStats ff =
-            fastForward(warm, *core_, config.fastForward);
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        noteWarm(dt.count(), ff.instsSkipped, warm);
-        if (ff.hitHalt) {
-            warn("fast-forward of %llu insts consumed the whole program",
-                 static_cast<unsigned long long>(config.fastForward));
-        }
-        return ff;
-    };
-
-    auto coldFfAndBlob = [&](std::string &blob) -> FastForwardStats {
-        FunctionalCore warm(*program_, config.bbCache);
-        const auto t0 = std::chrono::steady_clock::now();
-        FastForwardStats ff =
-            fastForward(warm, *core_, config.fastForward);
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        noteWarm(dt.count(), ff.instsSkipped, warm);
-        if (ff.hitHalt) {
-            warn("fast-forward of %llu insts consumed the whole program",
-                 static_cast<unsigned long long>(config.fastForward));
-        }
-        blob = saveCheckpoint(config, warm, *core_, ff);
-        return ff;
-    };
-
-    // Explicit single-file mode: restore if present, else create.
-    if (!config.ckptFile.empty()) {
-        std::string blob;
-        try {
-            blob = readCheckpointFile(config.ckptFile);
-        } catch (const CheckpointError &) {
-            // Not there yet: fast-forward cold and save it.
-            FastForwardStats ff = coldFfAndBlob(blob);
-            if (config.faults && config.faults->takeDiskWriteFault()) {
-                throw CheckpointError(
-                    "injected disk-write failure for '" + config.ckptFile +
-                        "'",
-                    /*transient=*/true);
-            }
-            writeCheckpointFile(config.ckptFile, blob);
-            return ff.instsSkipped;
-        }
-        if (config.faults && config.faults->takeCorruptRead())
-            config.faults->corrupt(blob);
         const FastForwardStats ff =
-            restoreCheckpoint(blob, config, *program_, *core_);
-        restored = true;
+            fastForward(warm, *core_, config.fastForward);
+        const std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        noteWarm(dt.count(), ff.instsSkipped, warm);
+        if (ff.hitHalt) {
+            warn("fast-forward of %llu insts consumed the whole program",
+                 static_cast<unsigned long long>(config.fastForward));
+        }
+        if (blob)
+            *blob = saveCheckpoint(config, warm, *core_, ff);
         return ff.instsSkipped;
-    }
+    };
 
-    // Cache mode: a shared in-process cache (sweep-level reuse) or a
-    // run-local one over ckpt_dir (cross-process reuse).
+    // Warm state comes from a shared in-process cache (sweep-level
+    // reuse) or a run-local one over ckpt_dir (cross-process reuse);
+    // with neither, warm up cold.
     std::shared_ptr<CheckpointCache> cache = config.ckptCache;
     if (!cache && !config.ckptDir.empty())
         cache = std::make_shared<CheckpointCache>(config.ckptDir);
     if (!cache)
-        return coldFf().instsSkipped;
+        return coldWarmUp(nullptr);
 
     const std::uint64_t key = checkpointKeyHash(config);
     CheckpointCache::Blob blob = cache->findOrBegin(key);
@@ -168,23 +130,23 @@ Simulator::warmUp(bool &restored)
             warn("ignoring unusable checkpoint for %s: %s",
                  config.workload.c_str(), e.what());
             std::string fresh;
-            FastForwardStats ff = coldFfAndBlob(fresh);
+            const std::uint64_t skipped = coldWarmUp(&fresh);
             cache->publish(key, std::move(fresh));
-            return ff.instsSkipped;
+            return skipped;
         }
     }
 
     // This run was elected producer for the key.
     try {
         std::string fresh;
-        FastForwardStats ff = coldFfAndBlob(fresh);
+        const std::uint64_t skipped = coldWarmUp(&fresh);
         if (config.faults && config.faults->takeDiskWriteFault()) {
             throw CheckpointError("injected disk-write failure publishing "
                                   "checkpoint",
                                   /*transient=*/true);
         }
         cache->publish(key, std::move(fresh));
-        return ff.instsSkipped;
+        return skipped;
     } catch (...) {
         cache->cancel(key);
         throw;
@@ -331,7 +293,7 @@ Simulator::collect(double host_seconds, std::uint64_t skipped,
         // The golden model executes the skipped prefix plus exactly as
         // many instructions as the pipeline committed; state must then
         // agree bit for bit.
-        FunctionalCore golden(*program_, config.bbCache);
+        FunctionalCore golden(*program_);
         golden.run(skipped + r.insts);
         bool regs_ok = true;
         for (RegIndex reg = 1; reg < kNumArchRegs; ++reg) {

@@ -64,8 +64,8 @@
 
 namespace sciq {
 
-/** Wire-format version; bump on any message/layout change. */
-constexpr unsigned kWorkerProtoVersion = 2;
+/** Wire-format version; bump on any message, layout or configSpec change. */
+constexpr unsigned kWorkerProtoVersion = 3;
 
 /** A peer silent for this many heartbeat intervals is dead. */
 constexpr unsigned kHeartbeatTimeoutFactor = 3;

@@ -139,7 +139,6 @@ runChaosTrial(const std::vector<SimConfig> &cfgs, std::uint64_t seed)
     base.heartbeatMs = 500;
     base.journal = journal;
     base.syncJournal = true;
-    base.abortExits = false;  // throw: the restart happens in-process
 
     std::atomic<unsigned> port{0};
     std::thread coord([&] {
@@ -178,7 +177,6 @@ runChaosTrial(const std::vector<SimConfig> &cfgs, std::uint64_t seed)
         wo1.faults = std::make_shared<FaultInjector>(seed ^ 0x123456);
         wo1.faults->abortWorker =
             static_cast<std::int64_t>(1 + rng.below(2));
-        wo1.abortExits = false;
     }
 
     std::thread w0([&] { trial.w0 = runWorker(wo0); });

@@ -593,24 +593,6 @@ TEST(CheckpointCacheTest, DiskBackingPersistsAcrossInstances)
 // ---------------------------------------------------------------------
 // End-to-end through SimConfig keys.
 
-TEST(CheckpointEndToEnd, FileModeCreatesThenRestores)
-{
-    ScratchDir dir("file-mode");
-    SimConfig cfg = testConfig("mgrid", IqKind::Segmented);
-    cfg.ckptFile = (dir / "warm.sciqckpt").string();
-
-    RunResult first = runSim(cfg);
-    EXPECT_FALSE(first.ckptRestored);
-    EXPECT_TRUE(first.validated);
-    EXPECT_TRUE(fs::exists(cfg.ckptFile));
-
-    RunResult second = runSim(cfg);
-    EXPECT_TRUE(second.ckptRestored);
-    EXPECT_TRUE(second.validated);
-    EXPECT_EQ(first.cycles, second.cycles);
-    EXPECT_EQ(first.insts, second.insts);
-}
-
 TEST(CheckpointEndToEnd, DirModeSharesAcrossRuns)
 {
     ScratchDir dir("dir-mode");
@@ -619,6 +601,14 @@ TEST(CheckpointEndToEnd, DirModeSharesAcrossRuns)
 
     RunResult first = runSim(cfg);
     EXPECT_FALSE(first.ckptRestored);
+    EXPECT_TRUE(first.validated);
+
+    // The same configuration restores the warm-up it created.
+    RunResult again = runSim(cfg);
+    EXPECT_TRUE(again.ckptRestored);
+    EXPECT_TRUE(again.validated);
+    EXPECT_EQ(first.cycles, again.cycles);
+    EXPECT_EQ(first.insts, again.insts);
 
     // A different IQ configuration restores the same warm-up: the key
     // deliberately excludes IQ parameters.

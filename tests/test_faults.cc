@@ -188,19 +188,18 @@ TEST(Deadline, ExpiredDeadlineIsTimeout)
 
 TEST(CheckpointFaults, CorruptReadExhaustsRetriesIntoFailedOutcome)
 {
-    ScratchDir dir("corrupt-exhaust");
+    // The name predates the cache-only warm-up path, where a corrupt
+    // read is repaired, not retried; the persistent fault that burns
+    // every retry is now a failing checkpoint write.
+    ScratchDir dir("write-exhaust");
     SimConfig cfg = smallConfig("mgrid");
     cfg.fastForward = 1500;
-    cfg.ckptFile = (dir / "warm.sciqckpt").string();
-
-    // Seed a valid checkpoint, and keep the pristine result to prove
-    // bit-identity of the co-scheduled healthy job later.
-    RunResult pristine = runSim(cfg);
-    ASSERT_TRUE(fs::exists(cfg.ckptFile));
+    const RunResult pristine = runSim(cfg);  // cold, no cache
+    cfg.ckptDir = dir.str();
 
     SimConfig faulted = cfg;
     faulted.faults = std::make_shared<FaultInjector>(42);
-    faulted.faults->corruptCkptReads = -1;  // every attempt, every retry
+    faulted.faults->failDiskWrites = -1;  // every attempt, every retry
 
     std::vector<SimConfig> cfgs = {faulted, cfg};
     SweepRunner::Options options;
@@ -211,39 +210,16 @@ TEST(CheckpointFaults, CorruptReadExhaustsRetriesIntoFailedOutcome)
     EXPECT_EQ(results[0].outcome.status, JobOutcome::Status::Failed);
     EXPECT_EQ(results[0].outcome.code, ErrorCode::Checkpoint);
     EXPECT_EQ(results[0].outcome.attempts, 3u) << "retries must be burned";
-    EXPECT_EQ(faulted.faults->corruptedReads(), 3u);
+    EXPECT_EQ(faulted.faults->failedWrites(), 3u);
 
-    // The healthy job sharing the sweep is untouched, bit-identical.
+    // The healthy job sharing the sweep and the cache is untouched,
+    // bit-identical: each failed attempt released the producer key.
     EXPECT_TRUE(results[1].outcome.ok());
     EXPECT_EQ(results[1].cycles, pristine.cycles);
     EXPECT_EQ(results[1].insts, pristine.insts);
     EXPECT_TRUE(results[1].validated);
-}
-
-TEST(CheckpointFaults, SingleCorruptReadRecoversOnRetry)
-{
-    ScratchDir dir("corrupt-retry");
-    SimConfig cfg = smallConfig("applu");
-    cfg.fastForward = 1500;
-    cfg.ckptFile = (dir / "warm.sciqckpt").string();
-    RunResult pristine = runSim(cfg);
-
-    SimConfig faulted = cfg;
-    faulted.faults = std::make_shared<FaultInjector>(7);
-    faulted.faults->corruptCkptReads = 1;  // first attempt only
-
-    std::vector<SimConfig> cfgs = {faulted};
-    SweepRunner::Options options;
-    options.maxRetries = 2;
-    options.backoffMs = 1;
-    std::vector<RunResult> results = SweepRunner(1).run(cfgs, options);
-
-    EXPECT_TRUE(results[0].outcome.ok());
-    EXPECT_EQ(results[0].outcome.attempts, 2u);
-    EXPECT_TRUE(results[0].outcome.retried());
-    EXPECT_EQ(results[0].cycles, pristine.cycles);
-    EXPECT_EQ(results[0].insts, pristine.insts);
-    EXPECT_TRUE(results[0].ckptRestored);
+    EXPECT_TRUE(fs::exists(
+        CheckpointCache(dir.str()).pathFor(checkpointKeyHash(cfg))));
 }
 
 TEST(CheckpointFaults, TransientDiskWriteFailureRecoversOnRetry)
@@ -251,7 +227,7 @@ TEST(CheckpointFaults, TransientDiskWriteFailureRecoversOnRetry)
     ScratchDir dir("disk-retry");
     SimConfig cfg = smallConfig("equake");
     cfg.fastForward = 1500;
-    cfg.ckptFile = (dir / "warm.sciqckpt").string();
+    cfg.ckptDir = dir.str();
     cfg.faults = std::make_shared<FaultInjector>(11);
     cfg.faults->failDiskWrites = 1;
 
@@ -264,7 +240,9 @@ TEST(CheckpointFaults, TransientDiskWriteFailureRecoversOnRetry)
     EXPECT_TRUE(results[0].outcome.ok());
     EXPECT_EQ(results[0].outcome.attempts, 2u);
     EXPECT_EQ(cfg.faults->failedWrites(), 1u);
-    EXPECT_TRUE(fs::exists(cfg.ckptFile)) << "retry must persist the blob";
+    EXPECT_TRUE(fs::exists(
+        CheckpointCache(dir.str()).pathFor(checkpointKeyHash(cfg))))
+        << "retry must persist the blob";
 }
 
 TEST(CheckpointFaults, CacheModeCorruptionTakesRepairPath)
@@ -324,19 +302,22 @@ TEST(FaultKeys, ConfigMapBuildsInjectorAndWatchdog)
     m.set("deadline_sec", "2.5");
     m.set("fault_commit_stall", "777");
     m.set("fault_overpromote", "1");
-    m.set("fault_seed", "99");
-    m.set("fault_ckpt_corrupt", "-1");
-    m.set("fault_disk_fail", "3");
     cfg.apply(m);
 
     EXPECT_EQ(cfg.core.watchdogCycles, 12345u);
     EXPECT_DOUBLE_EQ(cfg.deadlineSec, 2.5);
     EXPECT_EQ(cfg.core.faultCommitStallAt, 777u);
     EXPECT_TRUE(cfg.core.iq.auditInjectOverPromote);
-    ASSERT_NE(cfg.faults, nullptr);
-    EXPECT_EQ(cfg.faults->seed(), 99u);
-    EXPECT_EQ(cfg.faults->corruptCkptReads.load(), -1);
-    EXPECT_EQ(cfg.faults->failDiskWrites.load(), 3);
+    EXPECT_EQ(cfg.faults, nullptr) << "no key builds an injector";
+
+    // The injector and the step reference are reachable from tests
+    // only: their former keys are unknown.
+    for (const char *key : {"fault_seed", "fault_ckpt_corrupt",
+                            "fault_disk_fail", "bb_cache", "ckpt"}) {
+        ConfigMap removed;
+        removed.set(key, "1");
+        EXPECT_THROW(SimConfig().apply(removed), ConfigError) << key;
+    }
 }
 
 } // namespace

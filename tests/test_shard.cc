@@ -141,7 +141,7 @@ TEST(Shard, ConfigSpecRoundTripsEveryIqKind)
     cfgs[1].audit = true;
     cfgs[2].core.iq.preschedLineWidth = 7;
     cfgs[3].core.iq.fifoDepth = 16;
-    cfgs[3].bbCache = false;
+    cfgs[3].validate = false;
     for (SimConfig &cfg : cfgs)
         cfg.wl.scale = 0.123456789;  // 6 significant digits would lose it
 
@@ -177,8 +177,8 @@ TEST(ConfigFields, SweepFlagKeepsTheFrontEndKeys)
     // The keys a bench applies to every job, and sweep_serve's preset
     // overrides.  Flagging another key widens both front ends.
     const std::vector<std::string> bench = {
-        "iters",    "ff",              "audit",    "audit_panic",
-        "bb_cache", "watchdog_cycles", "ckpt_dir", "deadline_sec"};
+        "iters",           "ff",       "audit",       "audit_panic",
+        "watchdog_cycles", "ckpt_dir", "deadline_sec"};
     EXPECT_EQ(configKeys(ConfigClass::All, ConfigClass::Sweep), bench);
     EXPECT_EQ(configKeys(ConfigClass::Identity, ConfigClass::Sweep),
               (std::vector<std::string>{"iters", "ff"}));
@@ -753,12 +753,10 @@ TEST(ServeSweep, FaultInjectedWorkerAbortIsRecovered)
     });
 
     // Deterministic chaos: the seeded budget makes this worker die in
-    // place of sending its first result (abortExits=false drops the
-    // connection instead of _exit so the test process survives).
+    // place of sending its first result: it drops the connection.
     WorkerOptions chaotic = quickWorkerOptions(socket, "chaotic");
     chaotic.faults = std::make_shared<FaultInjector>(42);
     chaotic.faults->abortWorker = 1;
-    chaotic.abortExits = false;
 
     WorkerReport chaosReport;
     std::thread w0([&] { chaosReport = runWorker(chaotic); });
