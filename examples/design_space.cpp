@@ -24,8 +24,8 @@ int
 exploreDesignSpace(const ConfigMap &args)
 {
     const std::string wl = args.getString("workload", "equake");
-    const auto iters =
-        static_cast<std::uint64_t>(args.getInt("iters", 3000));
+    // Range-checked, so a negative count cannot wrap.
+    const std::uint64_t iters = args.getUnsigned("iters", 3000);
 
     std::printf("Segmented-IQ design space on '%s'\n\n", wl.c_str());
 
@@ -73,7 +73,12 @@ int
 main(int argc, char **argv)
 {
     try {
-        return exploreDesignSpace(ConfigMap::fromArgs(argc, argv));
+        const ConfigMap args = ConfigMap::fromArgs(argc, argv);
+        const std::string complaint =
+            args.unknownKeyMessage({"workload", "iters"});
+        if (!complaint.empty())
+            throw ConfigError(complaint);
+        return exploreDesignSpace(args);
     } catch (...) {
         return job_exec::reportFailure(std::current_exception());
     }

@@ -16,20 +16,22 @@
  */
 
 #include <cstdio>
+#include <exception>
 
 #include "common/config.hh"
+#include "sim/job_exec.hh"
 #include "sim/simulator.hh"
 
 using namespace sciq;
 
+namespace {
+
 int
-main(int argc, char **argv)
+compareMissTolerance(const ConfigMap &args)
 {
-    ConfigMap args = ConfigMap::fromArgs(argc, argv);
-    const unsigned size =
-        static_cast<unsigned>(args.getInt("iq_size", 256));
-    const auto iters =
-        static_cast<std::uint64_t>(args.getInt("iters", 3000));
+    // Range-checked, so a negative value cannot wrap.
+    const unsigned size = args.getUnsigned("iq_size", 256);
+    const std::uint64_t iters = args.getUnsigned("iters", 3000);
 
     std::printf("Window-size tolerance of cache misses (IQ size %u)\n\n",
                 size);
@@ -70,4 +72,21 @@ main(int argc, char **argv)
                 "helps, because the\nwindow is not the bottleneck - "
                 "matching Figures 2 and 3 of the paper.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        const ConfigMap args = ConfigMap::fromArgs(argc, argv);
+        const std::string complaint =
+            args.unknownKeyMessage({"iters", "iq_size"});
+        if (!complaint.empty())
+            throw ConfigError(complaint);
+        return compareMissTolerance(args);
+    } catch (...) {
+        return job_exec::reportFailure(std::current_exception());
+    }
 }

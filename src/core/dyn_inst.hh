@@ -59,6 +59,7 @@ struct SegIqState
     bool chainReleased = false;      ///< headed chain already freed
     int segment = -1;        ///< current segment index (0 = issue buffer)
     bool promoEligible = false;  ///< counted as a promotion candidate
+    std::uint64_t ord = 0;   ///< dispatch ordinal: position in the age ring
 };
 
 /** Scheduler state for the ideal (monolithic CAM) IQ. */

@@ -1,6 +1,7 @@
 #include "segmented_iq.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "branch/hit_miss_predictor.hh"
@@ -53,8 +54,18 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
                           std::to_string(params.segmentSize));
     }
     const unsigned n = params.numEntries / params.segmentSize;
-    segments.resize(n);
+    segCount.assign(n, 0);
     freePrevCycle.assign(n, params.segmentSize);
+
+    // The ring starts at the queue size and doubles when the reorder
+    // window spans more (growRing).
+    const std::size_t cap = std::max<std::size_t>(
+        64, std::bit_ceil(std::size_t{params.numEntries}));
+    ring.resize(cap);
+    ringMask = cap - 1;
+    ringWords = cap / 64;
+    occBits.assign(n * ringWords, 0);
+    eligBits.assign(n * ringWords, 0);
     if (params.maxChains > 0)
         chainStates.resize(static_cast<std::size_t>(params.maxChains));
 
@@ -287,18 +298,18 @@ SegmentedIq::targetSegment() const
     // Dispatch is confined to the powered segments.
     const int n = static_cast<int>(activeSegments);
     if (!params.enableBypass) {
-        return segments[n - 1].size() < params.segmentSize ? n - 1 : -1;
+        return segCount[n - 1] < params.segmentSize ? n - 1 : -1;
     }
     int highest = -1;
     for (int k = n - 1; k >= 0; --k) {
-        if (!segments[k].empty()) {
+        if (segCount[k] != 0) {
             highest = k;
             break;
         }
     }
     if (highest < 0)
         return 0;  // entire queue empty: straight to the issue buffer
-    if (segments[highest].size() < params.segmentSize)
+    if (segCount[highest] < params.segmentSize)
         return highest;
     if (highest + 1 < n)
         return highest + 1;
@@ -321,17 +332,6 @@ SegmentedIq::canInsert(const DynInstPtr &inst)
         return false;
     }
     return true;
-}
-
-void
-SegmentedIq::insertSorted(std::vector<DynInstPtr> &seg,
-                          const DynInstPtr &inst)
-{
-    auto pos = std::lower_bound(seg.begin(), seg.end(), inst,
-                                [](const DynInstPtr &a, const DynInstPtr &b) {
-                                    return a->seq < b->seq;
-                                });
-    seg.insert(pos, inst);
 }
 
 void
@@ -389,10 +389,13 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
             headsFromLoads.inc();
     }
 
-    seg_state.segment = target;
-    insertSorted(segments[target], inst);
+    // Claim the next ordinal, growing the ring if the span fills it.
+    if (tailOrd - headOrd == ring.size())
+        growRing();
+    seg_state.ord = tailOrd++;
+    ring[slotOf(*inst)] = inst;
+    enterSegment(inst.get(), static_cast<unsigned>(target));
     ++totalOcc;
-    onSegSizeChanged(static_cast<unsigned>(target));
     for (int k = 0; k < seg_state.numMemberships; ++k) {
         subscribeMember(inst.get(), k);
         subSyncMemberCd(inst.get(), k);
@@ -578,6 +581,7 @@ SegmentedIq::refreshElig(DynInst *inst)
         return;
     }
     inst->seg.promoEligible = true;
+    setBit(eligOf(static_cast<unsigned>(k)), slotOf(*inst));
     if (eligCount[static_cast<unsigned>(k)]++ == 0 && k < 64)
         eligMask |= 1ULL << k;
 }
@@ -589,6 +593,7 @@ SegmentedIq::leaveElig(DynInst *inst)
         return;
     inst->seg.promoEligible = false;
     const unsigned k = static_cast<unsigned>(inst->seg.segment);
+    clearBit(eligOf(k), slotOf(*inst));
     if (--eligCount[k] == 0 && k < 64)
         eligMask &= ~(1ULL << k);
 }
@@ -598,7 +603,7 @@ SegmentedIq::onSegSizeChanged(unsigned k)
 {
     if (k >= 64)
         return;
-    const std::size_t free_now = params.segmentSize - segments[k].size();
+    const std::size_t free_now = params.segmentSize - segCount[k];
     if (free_now < params.issueWidth)
         nearFullMask |= 1ULL << k;
     else
@@ -614,8 +619,99 @@ SegmentedIq::onLeaveQueue(const DynInstPtr &inst)
         if (p->seg.memberships[s].cdIdx >= 0)
             removeMemberCd(p, s);
     }
-    leaveElig(p);
+    exitSegment(p);
+    ring[slotOf(*p)] = nullptr;
     --totalOcc;
+    while (headOrd < tailOrd && !ring[headOrd & ringMask])
+        ++headOrd;
+}
+
+// --- Age ring ----------------------------------------------------------------
+
+void
+SegmentedIq::enterSegment(DynInst *inst, unsigned k)
+{
+    inst->seg.segment = static_cast<int>(k);
+    setBit(occOf(k), slotOf(*inst));
+    ++segCount[k];
+    onSegSizeChanged(k);
+}
+
+void
+SegmentedIq::exitSegment(DynInst *inst)
+{
+    leaveElig(inst);
+    const unsigned k = static_cast<unsigned>(inst->seg.segment);
+    clearBit(occOf(k), slotOf(*inst));
+    --segCount[k];
+    onSegSizeChanged(k);
+}
+
+template <typename Word, typename Visit>
+void
+SegmentedIq::scanAge(Word word, Visit visit) const
+{
+    // Walk ordinal-aligned 64-bit words; the ring capacity is a
+    // multiple of 64, so each is one mask word.  When the span wraps
+    // into the head's own word, the first visit keeps the bits from
+    // headOrd up and the last visit the bits below tailOrd.
+    const std::uint64_t head = headOrd;
+    const std::uint64_t tail = tailOrd;
+    for (std::uint64_t base = head & ~std::uint64_t{63}; base < tail;
+         base += 64) {
+        std::uint64_t bits =
+            word(static_cast<std::size_t>((base & ringMask) >> 6));
+        if (base < head)
+            bits &= ~std::uint64_t{0} << (head - base);
+        if (tail - base < 64)
+            bits &= (std::uint64_t{1} << (tail - base)) - 1;
+        while (bits != 0) {
+            const unsigned b =
+                static_cast<unsigned>(std::countr_zero(bits));
+            bits &= bits - 1;
+            if (!visit(base + b))
+                return;
+        }
+    }
+}
+
+std::vector<DynInstPtr>
+SegmentedIq::segmentEntries(unsigned k) const
+{
+    std::vector<DynInstPtr> out;
+    out.reserve(segCount[k]);
+    const std::uint64_t *occ = occOf(k);
+    scanAge([occ](std::size_t w) { return occ[w]; },
+            [&](std::uint64_t ord) {
+                out.push_back(ring[ord & ringMask]);
+                return true;
+            });
+    return out;
+}
+
+void
+SegmentedIq::growRing()
+{
+    const std::size_t cap = ring.size() * 2;
+    std::vector<DynInstPtr> bigger(cap);
+    for (std::uint64_t ord = headOrd; ord < tailOrd; ++ord)
+        bigger[ord & (cap - 1)] = std::move(ring[ord & ringMask]);
+    ring = std::move(bigger);
+    ringMask = cap - 1;
+    ringWords = cap / 64;
+
+    // Bit positions are ordinals modulo the capacity: re-derive them.
+    occBits.assign(segCount.size() * ringWords, 0);
+    eligBits.assign(segCount.size() * ringWords, 0);
+    for (std::uint64_t ord = headOrd; ord < tailOrd; ++ord) {
+        const DynInstPtr &inst = ring[ord & ringMask];
+        if (!inst)
+            continue;
+        const auto k = static_cast<unsigned>(inst->seg.segment);
+        setBit(occOf(k), slotOf(*inst));
+        if (inst->seg.promoEligible)
+            setBit(eligOf(k), slotOf(*inst));
+    }
 }
 
 void
@@ -661,11 +757,10 @@ SegmentedIq::deliverToMembership(ChainMembership &m, int segment, Cycle now)
     const ChainState &cs = stateOf(m.chain);
     if (cs.gen != m.gen)
         return;  // chain wire reused; all relevant signals were seen
-    for (std::size_t i = 0; i < cs.log.size(); ++i) {
+    for (std::size_t i = cs.log.firstAfter(m.appliedSeq);
+         i < cs.log.size(); ++i) {
         const LoggedSignal &sig = cs.log.at(i);
         ++work.signalDeliveries;
-        if (sig.seq <= m.appliedSeq)
-            continue;
         const Cycle lag = segment > sig.originSegment
                               ? static_cast<Cycle>(segment -
                                                    sig.originSegment)
@@ -701,12 +796,11 @@ SegmentedIq::deliverToRegEntry(RegInfoEntry &e, const ChainState &cs,
         return;
     if (cs.gen != e.gen)
         return;
-    const int top = static_cast<int>(segments.size()) - 1;
-    for (std::size_t i = 0; i < cs.log.size(); ++i) {
+    const int top = static_cast<int>(segCount.size()) - 1;
+    for (std::size_t i = cs.log.firstAfter(e.appliedSeq); i < cs.log.size();
+         ++i) {
         const LoggedSignal &sig = cs.log.at(i);
         ++work.signalDeliveries;
-        if (sig.seq <= e.appliedSeq)
-            continue;
         const Cycle lag = top > sig.originSegment
                               ? static_cast<Cycle>(top -
                                                    sig.originSegment)
@@ -739,49 +833,48 @@ SegmentedIq::issueSelect(Cycle cycle, const TryIssue &try_issue)
     // oldest-first in the same sweep.  Issuing never changes another
     // entry's scoreboard readiness, so the fused count equals the
     // pre-issue count the stats used to take in a separate scan.
-    auto &seg0 = segments[0];
-    const std::size_t occ0 = seg0.size();
+    const std::size_t occ0 = segCount[0];
+    const std::uint64_t *occ = occOf(0);
     unsigned ready = 0;
     unsigned issued = 0;
-    for (auto it = seg0.begin(); it != seg0.end();) {
+    std::size_t visited = 0;
+    auto word = [&](std::size_t w) {
+        ++work.laneWordsTouched;  // one occupancy word
+        return occ[w];
+    };
+    auto visit = [&](std::uint64_t ord) {
         // No refcounted copy on the scan path: the pointer is only
-        // pinned (below) for the entry actually issued and erased.
+        // pinned (below) for the entry actually issued.
+        const DynInstPtr &slot = ring[ord & ringMask];
         work.laneWordsTouched += 3;  // DynInstPtr deref + operand fields
-        const bool r = operandsReady(**it);
+        const bool r = operandsReady(*slot);
         if (r)
             ++ready;
-        if (r && issued < params.issueWidth && try_issue(*it)) {
-            DynInstPtr inst = *it;
+        if (r && issued < params.issueWidth && try_issue(slot)) {
+            DynInstPtr inst = slot;
             instsIssued.inc();
             ++issued;
             ++issuedThisCycle;
             emitSignal(inst, SignalKind::Assert, 0, cycle);
             onLeaveQueue(inst);
-            it = seg0.erase(it);
-        } else {
-            ++it;
         }
-    }
+        return ++visited < occ0;  // stop at the youngest entry
+    };
+    if (occ0 > 0)
+        scanAge(word, visit);
     seg0Ready.sample(static_cast<double>(ready));
     seg0Occupancy.sample(static_cast<double>(occ0));
-    if (issued > 0)
-        onSegSizeChanged(0);
 }
 
 void
 SegmentedIq::moveInst(const DynInstPtr &inst, unsigned from, unsigned to,
                       Cycle cycle)
 {
-    auto &src = segments[from];
-    auto it = std::find(src.begin(), src.end(), inst);
-    SCIQ_ASSERT(it != src.end(), "moveInst: inst not in segment %u", from);
-    work.laneWordsTouched += 6;  // erase/insert shuffles + index upkeep
-    leaveElig(inst.get());
-    src.erase(it);
-    onSegSizeChanged(from);
-    inst->seg.segment = static_cast<int>(to);
-    insertSorted(segments[to], inst);
-    onSegSizeChanged(to);
+    SCIQ_ASSERT(inst->seg.segment == static_cast<int>(from),
+                "moveInst: inst not in segment %u", from);
+    work.laneWordsTouched += 4;  // two occupancy + two eligibility words
+    exitSegment(inst.get());
+    enterSegment(inst.get(), to);
     refreshElig(inst.get());
 
     // A promoting chain head asserts its wire in the segment it leaves.
@@ -792,7 +885,7 @@ void
 SegmentedIq::setAuditTracking(bool on)
 {
     auditTracking = on;
-    const std::size_t n = segments.size();
+    const std::size_t n = segCount.size();
     freePrevSnapshot.assign(on ? n : 0, params.segmentSize);
     promotedInto.assign(on ? n : 0, 0);
 }
@@ -800,12 +893,13 @@ SegmentedIq::setAuditTracking(bool on)
 void
 SegmentedIq::dumpSegment(std::ostream &os, unsigned k) const
 {
-    const auto &seg = segments[k];
-    os << "segment " << k << ": " << seg.size() << "/" << params.segmentSize
-       << " entries, admit threshold " << threshold(k) << "\n";
-    for (const auto &inst : seg) {
-        os << "  seq=" << inst->seq << " pc=" << std::hex << inst->pc
-           << std::dec << " seg=" << inst->seg.segment;
+    os << "segment " << k << ": " << segCount[k] << "/"
+       << params.segmentSize << " entries, admit threshold " << threshold(k)
+       << "\n";
+    for (const DynInstPtr &inst : segmentEntries(k)) {
+        os << "  seq=" << inst->seq << " ord=" << inst->seg.ord
+           << " pc=" << std::hex << inst->pc << std::dec
+           << " seg=" << inst->seg.segment;
         if (inst->seg.headedChain != kNoChain) {
             os << " heads=" << inst->seg.headedChain
                << (inst->seg.chainReleased ? "(released)" : "");
@@ -827,19 +921,19 @@ SegmentedIq::dumpState(std::ostream &os) const
 {
     os << "segmented iq: occ=" << totalOcc << "/" << params.numEntries
        << " chains=" << chains.inUse() << "(peak " << chains.peak() << ")"
-       << " activeSegments=" << activeSegments << "/" << segments.size()
+       << " activeSegments=" << activeSegments << "/" << segCount.size()
        << " deadlockCycles="
        << static_cast<std::uint64_t>(deadlockCycles.value())
        << " deadlockRecoveries="
        << static_cast<std::uint64_t>(deadlockRecoveries.value()) << "\n";
-    for (unsigned k = 0; k < segments.size(); ++k)
+    for (unsigned k = 0; k < segCount.size(); ++k)
         dumpSegment(os, k);
 }
 
 void
 SegmentedIq::tick(Cycle cycle, bool core_busy)
 {
-    const unsigned n = static_cast<unsigned>(segments.size());
+    const unsigned n = numSegments();
 
     if (auditTracking) {
         freePrevSnapshot = freePrevCycle;
@@ -882,8 +976,7 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
     //    signal-log pruning (everything older than the wire pipeline
     //    depth has been seen everywhere).
     for (unsigned k = 0; k < n; ++k) {
-        freePrevCycle[k] = static_cast<unsigned>(params.segmentSize -
-                                                 segments[k].size());
+        freePrevCycle[k] = params.segmentSize - segCount[k];
     }
     if (cycle > n + 1) {
         const Cycle horizon = cycle - n - 1;
@@ -914,7 +1007,7 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
             ++activeSegments;
             resizeGrows.inc();
         } else if (activeSegments > 1 &&
-                   segments[activeSegments - 1].empty() &&
+                   segCount[activeSegments - 1] == 0 &&
                    static_cast<double>(occ) <
                        params.resizeShrinkOcc *
                            static_cast<double>(activeSegments - 1) *
@@ -939,25 +1032,27 @@ SegmentedIq::tickPromote(Cycle cycle)
     // by inter-segment bandwidth and by the *previous* cycle's free
     // count in the destination (section 3.1).  Only dirty segments --
     // ones with tracked promotion candidates or pushdown pressure --
-    // are visited; a segment with neither has empty eligible/pushdown
-    // lists and its round is a no-op.
-    const unsigned n = static_cast<unsigned>(segments.size());
+    // are visited; a segment with neither has no eligible or pushdown
+    // entries and its round is a no-op.  Candidates come straight off
+    // the segment's masks in age order: eligible entries first, then
+    // (pushdown) the oldest ineligible ones.  Moving an entry clears
+    // only bits the scan has passed and sets bits in segment k-1, so
+    // the masks can be walked while entries move.
+    const unsigned n = numSegments();
     unsigned dirty = 0;
     const bool any_candidates =
         n > 64 || eligMask != 0 ||
         (params.enablePushdown && nearFullMask != 0);
     for (unsigned k = 1; any_candidates && k < n; ++k) {
-        auto &seg = segments[k];
-        if (seg.empty())
+        if (segCount[k] == 0)
             continue;
         ++work.segmentsScanned;
         work.laneWordsTouched += 2;  // size/free probes
 
         bool pushdown_possible = false;
         const unsigned iw = params.issueWidth;
-        const std::size_t free_here = params.segmentSize - seg.size();
-        const std::size_t free_below =
-            params.segmentSize - segments[k - 1].size();
+        const std::size_t free_here = params.segmentSize - segCount[k];
+        const std::size_t free_below = params.segmentSize - segCount[k - 1];
         if (params.enablePushdown) {
             pushdown_possible =
                 free_here < iw &&
@@ -967,65 +1062,45 @@ SegmentedIq::tickPromote(Cycle cycle)
             continue;
         ++dirty;
 
-        const int thresh = threshold(k - 1);
-        std::vector<DynInstPtr> &eligible = scratchElig;
-        std::vector<DynInstPtr> &pushdown = scratchPush;
-        eligible.clear();
-        pushdown.clear();
-        for (auto &inst : seg) {
-            work.laneWordsTouched += 3;  // ptr deref + membership delays
-            if (effectiveDelay(*inst) < thresh)
-                eligible.push_back(inst);
-        }
-
-        if (pushdown_possible) {
-            for (auto &inst : seg) {
-                if (pushdown.size() >= iw)
-                    break;
-                work.laneWordsTouched += 3;
-                if (effectiveDelay(*inst) >= thresh)
-                    pushdown.push_back(inst);
-            }
-        }
-
         unsigned budget = std::min<unsigned>(
             params.issueWidth,
-            std::min<unsigned>(
-                freePrevCycle[k - 1],
-                static_cast<unsigned>(params.segmentSize -
-                                      segments[k - 1].size())));
+            std::min<unsigned>(freePrevCycle[k - 1],
+                               params.segmentSize - segCount[k - 1]));
         if (params.auditInjectOverPromote) {
             // Test-only fault: drop the previous-cycle free bound and
             // fill whatever space the destination has *now*.
             budget = std::min<unsigned>(
-                params.issueWidth,
-                static_cast<unsigned>(params.segmentSize -
-                                      segments[k - 1].size()));
+                params.issueWidth, params.segmentSize - segCount[k - 1]);
         }
 
-        for (auto &inst : eligible) {
-            if (budget == 0)
-                break;
-            moveInst(inst, k, k - 1, cycle);
+        auto promote = [&](std::uint64_t ord, bool pushdown) {
+            moveInst(ring[ord & ringMask], k, k - 1, cycle);
             promotions.inc();
+            if (pushdown)
+                pushdownPromotions.inc();
             ++promotedThisCycle;
             if (auditTracking)
                 ++promotedInto[k - 1];
-            --budget;
+            return --budget > 0;
+        };
+        const std::uint64_t *occ = occOf(k);
+        const std::uint64_t *elig = eligOf(k);
+        if (budget > 0 && eligCount[k] > 0) {
+            scanAge(
+                [&](std::size_t w) {
+                    ++work.laneWordsTouched;  // one eligibility word
+                    return elig[w];
+                },
+                [&](std::uint64_t ord) { return promote(ord, false); });
         }
-        for (auto &inst : pushdown) {
-            if (budget == 0)
-                break;
-            moveInst(inst, k, k - 1, cycle);
-            promotions.inc();
-            pushdownPromotions.inc();
-            ++promotedThisCycle;
-            if (auditTracking)
-                ++promotedInto[k - 1];
-            --budget;
+        if (budget > 0 && pushdown_possible) {
+            scanAge(
+                [&](std::size_t w) {
+                    work.laneWordsTouched += 2;  // occupancy + eligibility
+                    return occ[w] & ~elig[w];
+                },
+                [&](std::uint64_t ord) { return promote(ord, true); });
         }
-        eligible.clear();
-        pushdown.clear();
     }
     dirtySegments.inc(static_cast<double>(dirty));
 }
@@ -1092,28 +1167,26 @@ void
 SegmentedIq::runDeadlockRecovery(Cycle cycle)
 {
     deadlockRecoveries.inc();
-    const unsigned n = static_cast<unsigned>(segments.size());
+    const unsigned n = numSegments();
 
     // If the issue buffer is full of non-ready instructions, recycle
     // its youngest back to the top segment (placed after the bottom-up
-    // force promotions have guaranteed it a slot).
+    // force promotions have guaranteed it a slot).  It keeps its ring
+    // slot and ordinal throughout.
     DynInstPtr recycled;
-    if (activeSegments > 1 && segments[0].size() >= params.segmentSize) {
-        recycled = segments[0].back();
-        leaveElig(recycled.get());
-        segments[0].pop_back();
-        onSegSizeChanged(0);
+    if (activeSegments > 1 && segCount[0] >= params.segmentSize) {
+        recycled = segmentEntries(0).back();
+        exitSegment(recycled.get());
     }
 
     // Force every full segment to promote one instruction downward;
     // processing bottom-up guarantees the destination has a slot.
     for (unsigned k = 1; k < n; ++k) {
-        if (segments[k].size() < params.segmentSize)
+        if (segCount[k] < params.segmentSize)
             continue;
-        if (segments[k - 1].size() >= params.segmentSize)
+        if (segCount[k - 1] >= params.segmentSize)
             continue;  // cannot happen after bottom-up processing
-        DynInstPtr oldest = segments[k].front();
-        moveInst(oldest, k, k - 1, cycle);
+        moveInst(segmentEntries(k).front(), k, k - 1, cycle);
         promotions.inc();
         ++promotedThisCycle;
     }
@@ -1124,11 +1197,10 @@ SegmentedIq::runDeadlockRecovery(Cycle cycle)
     // oldest ready instruction eventually reaches the issue buffer.
     if (promotedThisCycle == 0 && !recycled) {
         for (unsigned k = 1; k < n; ++k) {
-            if (segments[k].empty())
+            if (segCount[k] == 0)
                 continue;
-            if (segments[k - 1].size() < params.segmentSize) {
-                DynInstPtr oldest = segments[k].front();
-                moveInst(oldest, k, k - 1, cycle);
+            if (segCount[k - 1] < params.segmentSize) {
+                moveInst(segmentEntries(k).front(), k, k - 1, cycle);
                 promotions.inc();
                 ++promotedThisCycle;
             }
@@ -1138,17 +1210,15 @@ SegmentedIq::runDeadlockRecovery(Cycle cycle)
 
     if (recycled) {
         const unsigned top = activeSegments - 1;
-        recycled->seg.segment = static_cast<int>(top);
         if (recycled->seg.headedChain != kNoChain &&
             !recycled->seg.chainReleased) {
             ChainState &cs = stateOf(recycled->seg.headedChain);
             if (cs.gen == recycled->seg.headedGen)
                 cs.headSegment = static_cast<int>(top);
         }
-        insertSorted(segments[top], recycled);
-        onSegSizeChanged(top);
+        enterSegment(recycled.get(), top);
         refreshElig(recycled.get());
-        SCIQ_ASSERT(segments[top].size() <= params.segmentSize,
+        SCIQ_ASSERT(segCount[top] <= params.segmentSize,
                     "deadlock recovery overflowed the top segment");
     }
 }
@@ -1174,7 +1244,7 @@ SegmentedIq::releaseChain(const DynInstPtr &inst, Cycle cycle)
     // seen at the top of the queue.
     inst->seg.chainReleased = true;
     chainDrainQueue.emplace_back(inst->seg.headedChain,
-                                 cycle + segments.size() + 2);
+                                 cycle + segCount.size() + 2);
 }
 
 void
@@ -1210,18 +1280,17 @@ SegmentedIq::onSquashInst(const DynInstPtr &inst)
 void
 SegmentedIq::squash(SeqNum youngest_kept)
 {
-    // Segments are seq-sorted, so the squashed set is a suffix.
-    for (unsigned k = 0; k < segments.size(); ++k) {
-        auto &seg = segments[k];
-        auto pos = std::upper_bound(
-            seg.begin(), seg.end(), youngest_kept,
-            [](SeqNum s, const DynInstPtr &p) { return s < p->seq; });
-        if (pos == seg.end())
-            continue;
-        for (auto it = pos; it != seg.end(); ++it)
-            onLeaveQueue(*it);
-        seg.erase(pos, seg.end());
-        onSegSizeChanged(k);
+    // Ordinals increase with seq, so the squashed entries are the
+    // ring's youngest suffix.  Rewinding the tail over them (and over
+    // the issued entries between) hands their ordinals to the
+    // re-dispatched path, which keeps the span within the ROB.
+    while (tailOrd > headOrd) {
+        const DynInstPtr inst = ring[(tailOrd - 1) & ringMask];
+        if (inst && inst->seq <= youngest_kept)
+            break;
+        --tailOrd;
+        if (inst)
+            onLeaveQueue(inst);
     }
 }
 

@@ -38,10 +38,14 @@
  * invariant auditor (audit=1) re-derives every index from a full
  * rescan each cycle and counts disagreements.
  *
- * Per-entry scheduler state lives in each DynInst (`DynInst::seg`);
- * segments hold seq-sorted instruction pointers.  Deterministic
- * host-work counters (DESIGN.md section 16) count what the scheduler
- * touches, so CI can gate on its cost exactly.
+ * Per-entry scheduler state lives in each DynInst (`DynInst::seg`).
+ * Every resident sits in one age ring, at its dispatch ordinal modulo
+ * a power-of-two capacity; a segment is a count plus an occupancy and
+ * an eligibility bitmask over that ring.  Ordinals increase with seq,
+ * so walking a mask from the ring head visits a segment oldest-first,
+ * and a promotion is a relabel: two bit flips, no entry moves.
+ * Deterministic host-work counters (DESIGN.md section 16) count what
+ * the scheduler touches, so CI can gate on its cost exactly.
  */
 
 #ifndef SCIQ_IQ_SEGMENTED_IQ_HH
@@ -89,13 +93,16 @@ class SegmentedIq : public IqBase
     unsigned
     numSegments() const
     {
-        return static_cast<unsigned>(segments.size());
+        return static_cast<unsigned>(segCount.size());
     }
 
-    std::size_t segmentOccupancy(unsigned k) const
-    {
-        return segments[k].size();
-    }
+    std::size_t segmentOccupancy(unsigned k) const { return segCount[k]; }
+
+    /** Segment k's entries, oldest first (audit, dumps, recovery). */
+    std::vector<DynInstPtr> segmentEntries(unsigned k) const;
+
+    /** Slots in the age ring (a power of two; grows by doubling). */
+    std::size_t ringCapacity() const { return ring.size(); }
 
     /** Promotion threshold of segment k (paper section 3.1). */
     static int threshold(unsigned k) { return 2 * (static_cast<int>(k) + 1); }
@@ -200,6 +207,18 @@ class SegmentedIq : public IqBase
         const LoggedSignal &at(std::size_t i) const
         {
             return buf[(head + i) & (buf.size() - 1)];
+        }
+        /**
+         * Index of the first signal newer than `applied`.  A chain's log
+         * holds consecutive seqs, so this skips the applied prefix
+         * without walking it.
+         */
+        std::size_t
+        firstAfter(std::uint64_t applied) const
+        {
+            if (count == 0 || applied < buf[head].seq)
+                return 0;
+            return static_cast<std::size_t>(applied + 1 - buf[head].seq);
         }
         void
         push_back(const LoggedSignal &sig)
@@ -347,7 +366,50 @@ class SegmentedIq : public IqBase
     /** Drop every index reference as inst leaves the queue. */
     void onLeaveQueue(const DynInstPtr &inst);
 
-    void insertSorted(std::vector<DynInstPtr> &seg, const DynInstPtr &inst);
+    // --- Age ring -----------------------------------------------------------
+
+    /** Segment k's occupancy / eligibility mask (ringWords words). */
+    std::uint64_t *occOf(unsigned k) { return &occBits[k * ringWords]; }
+    const std::uint64_t *occOf(unsigned k) const
+    {
+        return &occBits[k * ringWords];
+    }
+    std::uint64_t *eligOf(unsigned k) { return &eligBits[k * ringWords]; }
+    const std::uint64_t *eligOf(unsigned k) const
+    {
+        return &eligBits[k * ringWords];
+    }
+
+    static void
+    setBit(std::uint64_t *mask, std::size_t pos)
+    {
+        mask[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+    }
+    static void
+    clearBit(std::uint64_t *mask, std::size_t pos)
+    {
+        mask[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+    }
+    std::size_t slotOf(const DynInst &inst) const
+    {
+        return static_cast<std::size_t>(inst.seg.ord & ringMask);
+    }
+
+    /** Place inst in segment k's occupancy (its ring slot is set). */
+    void enterSegment(DynInst *inst, unsigned k);
+    /** Take inst out of its segment's masks and count. */
+    void exitSegment(DynInst *inst);
+
+    /**
+     * Visit the ordinals in [headOrd, tailOrd) whose bit is set in
+     * `word(w)` (w = ring word index), oldest first, until `visit`
+     * returns false.
+     */
+    template <typename Word, typename Visit>
+    void scanAge(Word word, Visit visit) const;
+
+    /** Double the ring (and remap every mask) when the span fills it. */
+    void growRing();
 
     /** Move inst down one pipeline step; heads assert their wire. */
     void moveInst(const DynInstPtr &inst, unsigned from, unsigned to,
@@ -367,7 +429,22 @@ class SegmentedIq : public IqBase
     bool profiling = false;
     TickProfile prof;
 
-    std::vector<std::vector<DynInstPtr>> segments;  ///< [0]=issue buffer
+    // Age ring: every resident at ring[ord & ringMask].  Ordinals in
+    // [headOrd, tailOrd) span at most the ring; headOrd is the oldest
+    // resident (tailOrd when empty), and squash rewinds tailOrd so the
+    // span stays bounded by the reorder buffer.
+    std::vector<DynInstPtr> ring;
+    std::uint64_t ringMask = 0;
+    std::size_t ringWords = 0;       ///< 64-bit words per segment mask
+    std::uint64_t headOrd = 0;
+    std::uint64_t tailOrd = 0;
+
+    // Segment k, k = 0 the issue buffer: entry count plus occupancy and
+    // promotion-eligibility bitmasks over the ring (ringWords each).
+    std::vector<unsigned> segCount;
+    std::vector<std::uint64_t> occBits;
+    std::vector<std::uint64_t> eligBits;
+
     std::vector<unsigned> freePrevCycle;            ///< per segment
 
     std::vector<ChainState> chainStates;
@@ -396,10 +473,6 @@ class SegmentedIq : public IqBase
     std::uint64_t eligMask = 0;       ///< segments (<64) with candidates
     std::uint64_t nearFullMask = 0;   ///< segments (<64) w/ pushdown pressure
     std::size_t totalOcc = 0;         ///< occupancy, O(1)
-
-    // Promotion-pass scratch (reused to keep allocations off the hot
-    // path; only live within one segment's round).
-    std::vector<DynInstPtr> scratchElig, scratchPush;
 
     std::array<RegInfoEntry, kNumArchRegs> regInfo;
     std::deque<Undo> undoLog;

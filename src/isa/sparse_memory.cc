@@ -69,16 +69,30 @@ SparseMemory::write(Addr addr, unsigned size, std::uint64_t val)
 void
 SparseMemory::writeBlob(Addr addr, const std::uint8_t *data, std::size_t len)
 {
-    for (std::size_t i = 0; i < len; ++i)
-        getPage(addr + i)[(addr + i) & (kPageSize - 1)] = data[i];
+    // One page lookup and one copy per span that stays inside a page.
+    for (std::size_t done = 0; done < len;) {
+        const Addr a = addr + done;
+        const std::size_t off = a & (kPageSize - 1);
+        const std::size_t n = std::min<std::size_t>(len - done,
+                                                    kPageSize - off);
+        std::memcpy(getPage(a).data() + off, data + done, n);
+        done += n;
+    }
 }
 
 void
 SparseMemory::readBlob(Addr addr, std::uint8_t *data, std::size_t len) const
 {
-    for (std::size_t i = 0; i < len; ++i) {
-        const Page *p = findPage(addr + i);
-        data[i] = p ? (*p)[(addr + i) & (kPageSize - 1)] : 0;
+    for (std::size_t done = 0; done < len;) {
+        const Addr a = addr + done;
+        const std::size_t off = a & (kPageSize - 1);
+        const std::size_t n = std::min<std::size_t>(len - done,
+                                                    kPageSize - off);
+        if (const Page *p = findPage(a))
+            std::memcpy(data + done, p->data() + off, n);
+        else
+            std::memset(data + done, 0, n);
+        done += n;
     }
 }
 

@@ -1,6 +1,7 @@
 #include "audit.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -135,7 +136,12 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
 void
 Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 {
-    const unsigned n = static_cast<unsigned>(iq.segments.size());
+    const unsigned n = iq.numSegments();
+
+    // Every segment's residents, oldest first, read once per audit.
+    std::vector<std::vector<DynInstPtr>> segs(n);
+    for (unsigned k = 0; k < n; ++k)
+        segs[k] = iq.segmentEntries(k);
 
     auto segDump = [&iq](unsigned k) {
         std::ostringstream os;
@@ -144,7 +150,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     };
 
     for (unsigned k = 0; k < n; ++k) {
-        const auto &seg = iq.segments[k];
+        const auto &seg = segs[k];
 
         if (seg.size() > iq.params.segmentSize) {
             violation(segmentOverflow, "segment occupancy <= capacity",
@@ -289,11 +295,115 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     // O(1) occupancy.
     std::size_t occ_scan = 0;
     for (unsigned k = 0; k < n; ++k)
-        occ_scan += iq.segments[k].size();
+        occ_scan += segs[k].size();
     if (occ_scan != iq.totalOcc) {
         violation(occIndex, "segmented occupancy counter == rescan", cycle,
                   "totalOcc=" + std::to_string(iq.totalOcc) +
                       " but segments hold " + std::to_string(occ_scan));
+    }
+
+    // Age ring and segment masks, from each resident's own state: its
+    // ordinal names its slot and lies in [headOrd, tailOrd); ordinals
+    // increase with seq; its occupancy bit is set in its segment's mask
+    // only, and its eligibility bit there equals its promoEligible
+    // flag.  Popcounts matching the rescanned counts then rule out
+    // stray bits.
+    {
+        const std::size_t cap = iq.ring.size();
+        auto bit = [](const std::uint64_t *mask, std::size_t pos) {
+            return ((mask[pos >> 6] >> (pos & 63)) & 1) != 0;
+        };
+        std::vector<unsigned> occ_in(n, 0);
+        std::vector<unsigned> elig_in(n, 0);
+        std::size_t residents = 0;
+        const DynInst *prev = nullptr;
+        if (iq.tailOrd - iq.headOrd > cap ||
+            (iq.headOrd < iq.tailOrd &&
+             !iq.ring[iq.headOrd & iq.ringMask])) {
+            violation(occIndex, "ring span fits and starts at a resident",
+                      cycle,
+                      "head " + std::to_string(iq.headOrd) + " tail " +
+                          std::to_string(iq.tailOrd) + " capacity " +
+                          std::to_string(cap));
+        }
+        for (std::uint64_t i = 0; i < cap; ++i) {
+            // Slots in ordinal order from the head, then the rest.
+            const std::uint64_t ord = iq.headOrd + i;
+            const DynInstPtr &inst = iq.ring[ord & iq.ringMask];
+            if (!inst)
+                continue;
+            ++residents;
+            auto who = [&inst] {
+                return "seq " + std::to_string(inst->seq) + " ord " +
+                       std::to_string(inst->seg.ord);
+            };
+            if (inst->seg.ord != ord || ord >= iq.tailOrd) {
+                violation(occIndex, "ordinal names its slot within span",
+                          cycle,
+                          who() + " in slot for ord " + std::to_string(ord) +
+                              ", span [" + std::to_string(iq.headOrd) +
+                              ", " + std::to_string(iq.tailOrd) + ")");
+            }
+            if (prev != nullptr && prev->seq >= inst->seq) {
+                violation(occIndex, "ordinals increase with seq", cycle,
+                          who() + " follows seq " + std::to_string(prev->seq));
+            }
+            prev = inst.get();
+            const std::size_t pos = ord & iq.ringMask;
+            const int home = inst->seg.segment;
+            for (unsigned k = 0; k < n; ++k) {
+                const bool here = home == static_cast<int>(k);
+                if (bit(iq.occOf(k), pos) != here) {
+                    violation(occIndex,
+                              "occupancy bit set in own segment only",
+                              cycle,
+                              who() + " in segment " + std::to_string(home) +
+                                  ", segment " + std::to_string(k) +
+                                  " bit " + std::to_string(!here));
+                }
+                const bool want_elig = here && inst->seg.promoEligible;
+                if (bit(iq.eligOf(k), pos) != want_elig) {
+                    violation(promoIndex,
+                              "eligibility bit == promoEligible", cycle,
+                              who() + " flag " +
+                                  std::to_string(inst->seg.promoEligible) +
+                                  ", segment " + std::to_string(k) +
+                                  " bit " + std::to_string(!want_elig));
+                }
+                occ_in[k] += here;
+                elig_in[k] += want_elig;
+            }
+        }
+        if (residents != iq.totalOcc) {
+            violation(occIndex, "ring residents == occupancy counter",
+                      cycle,
+                      "ring holds " + std::to_string(residents) +
+                          ", totalOcc=" + std::to_string(iq.totalOcc));
+        }
+        for (unsigned k = 0; k < n; ++k) {
+            unsigned occ_pop = 0;
+            unsigned elig_pop = 0;
+            for (std::size_t w = 0; w < iq.ringWords; ++w) {
+                occ_pop += std::popcount(iq.occOf(k)[w]);
+                elig_pop += std::popcount(iq.eligOf(k)[w]);
+            }
+            if (occ_pop != occ_in[k] || iq.segCount[k] != occ_in[k]) {
+                violation(occIndex, "occupancy mask popcount == count",
+                          cycle,
+                          "segment " + std::to_string(k) + " popcount " +
+                              std::to_string(occ_pop) + " count " +
+                              std::to_string(iq.segCount[k]) +
+                              " residents " + std::to_string(occ_in[k]));
+            }
+            if (elig_pop != elig_in[k] || iq.eligCount[k] != elig_in[k]) {
+                violation(promoIndex, "eligibility mask popcount == count",
+                          cycle,
+                          "segment " + std::to_string(k) + " popcount " +
+                              std::to_string(elig_pop) + " count " +
+                              std::to_string(iq.eligCount[k]) +
+                              " flagged " + std::to_string(elig_in[k]));
+            }
+        }
     }
 
     // Promotion-candidate counts, activity masks, and per-entry flags;
@@ -302,7 +412,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     std::size_t cds_scan = 0;    // resident memberships counting down
     for (unsigned k = 0; k < n; ++k) {
         unsigned elig_scan = 0;
-        const auto &seg = iq.segments[k];
+        const auto &seg = segs[k];
         for (const auto &inst : seg) {
             const bool elig =
                 k >= 1 &&
@@ -392,13 +502,13 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               std::to_string(iq.eligCount[k]));
             }
             const bool near_full =
-                iq.params.segmentSize - iq.segments[k].size() <
+                iq.params.segmentSize - iq.segmentOccupancy(k) <
                 iq.params.issueWidth;
             if (near_full != (((iq.nearFullMask >> k) & 1) != 0)) {
                 violation(promoIndex, "near-full mask matches occupancy",
                           cycle,
                           "segment " + std::to_string(k) + " holds " +
-                              std::to_string(iq.segments[k].size()) +
+                              std::to_string(iq.segmentOccupancy(k)) +
                               " of " +
                               std::to_string(iq.params.segmentSize));
             }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -690,6 +691,10 @@ class EdgeRig
                 scoreboard_.setReady(inst->physDst);
             return true;
         });
+        // Segment 0 issues oldest-first, wherever the entries sit in
+        // the age ring.
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end()))
+            << "issue round out of age order at cycle " << cycle_;
         for (SeqNum s : got) {
             issued_[s] = live_[s];
             live_.erase(s);
@@ -777,6 +782,9 @@ class EdgeRig
 
     std::size_t occupancy() const { return iq_.occupancy(); }
     const SegmentedIq &queue() const { return iq_; }
+
+    /** A resident instruction (to read its ring ordinal). */
+    const DynInstPtr &inst(SeqNum seq) { return live_.at(seq); }
 
   private:
     /** Occupancy, segment fields and delays stay consistent. */
@@ -921,5 +929,169 @@ TEST(SegmentedIqEdge, DeadlockRecoveryDrains)
     rig.setReady(intReg(1));
     rig.setReady(intReg(2));
     rig.setReady(intReg(3));
+    rig.drain();
+}
+
+// ---------------------------------------------------------------------
+// The age ring: entries sit at their dispatch ordinal modulo a
+// power-of-two capacity, and every segment walk starts at the oldest
+// resident.  These scenarios put the walk across the physical end of
+// the ring, past its initial capacity, and through a squash that hands
+// ordinals back.
+
+namespace {
+
+/** Pass `count` ready, independent instructions straight through. */
+void
+flowThrough(EdgeRig &rig, SeqNum &next, unsigned count)
+{
+    for (unsigned i = 0; i < count; ++i) {
+        ASSERT_TRUE(rig.dispatch(next, Opcode::ADD, intReg(20), intReg(3),
+                                 intReg(4)));
+        EXPECT_EQ(rig.issue(4), std::vector<SeqNum>{next});
+        ++next;
+        rig.tick();
+    }
+}
+
+IqParams
+bypassParams(unsigned entries, unsigned seg_size)
+{
+    IqParams p = tinyParams(entries, seg_size);
+    p.enableBypass = true;  // ready work dispatches into segment 0
+    return p;
+}
+
+} // namespace
+
+TEST(SegmentedIqEdge, OrdinalWrapKeepsAgeOrder)
+{
+    EdgeRig rig(bypassParams(8, 4));
+    const std::size_t cap = rig.queue().ringCapacity();
+    SeqNum next = 1;
+
+    // Move the ordinals to two slots before the physical end of the
+    // ring, after one full lap.
+    flowThrough(rig, next, static_cast<unsigned>(cap + cap - 2));
+    ASSERT_EQ(rig.occupancy(), 0u);
+
+    // An old entry waits on r1 in the ring's second-to-last slot; of
+    // the three entries after it, two wrap to slots 0 and 1.
+    rig.clearReady(intReg(1));
+    const SeqNum old = next++;
+    ASSERT_TRUE(rig.dispatch(old, Opcode::ADD, intReg(21), intReg(1)));
+    EXPECT_EQ(rig.inst(old)->seg.ord & (cap - 1), cap - 2);
+    for (SeqNum s = next; s < next + 3; ++s)
+        ASSERT_TRUE(rig.dispatch(s, Opcode::ADD, intReg(22), intReg(1)));
+    EXPECT_EQ(rig.inst(next + 2)->seg.ord & (cap - 1), 1u);
+    rig.tick();
+    EXPECT_TRUE(rig.issue(4).empty());
+
+    // Ready, they issue in age order across the wrap, not slot order.
+    rig.setReady(intReg(1));
+    EXPECT_EQ(rig.issue(4),
+              (std::vector<SeqNum>{old, next, next + 1, next + 2}));
+    next += 3;
+    EXPECT_EQ(rig.queue().ringCapacity(), cap);
+
+    // Hold another old entry while more than a ring's worth of younger
+    // entries dispatch and issue past it.
+    rig.clearReady(intReg(1));
+    const SeqNum held = next++;
+    ASSERT_TRUE(rig.dispatch(held, Opcode::ADD, intReg(21), intReg(1)));
+    flowThrough(rig, next, static_cast<unsigned>(cap + 8));
+    EXPECT_GT(rig.queue().ringCapacity(), cap);
+    rig.setReady(intReg(1));
+    EXPECT_EQ(rig.issue(4), std::vector<SeqNum>{held});
+    EXPECT_EQ(rig.occupancy(), 0u);
+    rig.drain();
+}
+
+TEST(SegmentedIqEdge, RingGrowsPastInitialCapacity)
+{
+    // A reorder window of several ring capacities: unready entries of
+    // very different ages stay resident across segments while ready
+    // work streams past them.
+    EdgeRig rig(bypassParams(16, 4));
+    const std::size_t cap = rig.queue().ringCapacity();
+    rig.clearReady(intReg(1));
+    rig.clearReady(intReg(2));
+    SeqNum next = 1;
+    std::vector<SeqNum> waiting;
+    for (int round = 0; round < 3; ++round) {
+        waiting.push_back(next);
+        ASSERT_TRUE(rig.dispatch(next++, Opcode::ADD, intReg(21),
+                                 intReg(1)));
+        flowThrough(rig, next, static_cast<unsigned>(cap));
+    }
+    EXPECT_GE(rig.queue().ringCapacity(), 4 * cap);
+
+    // Fill the rest of the queue behind r2 so the waiters spread over
+    // every segment.
+    while (rig.occupancy() < 16) {
+        waiting.push_back(next);
+        ASSERT_TRUE(rig.dispatch(next++, Opcode::ADD, intReg(22),
+                                 intReg(2)));
+    }
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_TRUE(rig.issue(4).empty());
+        rig.tick();
+    }
+
+    // Released, everything issues oldest-first and the queue drains.
+    rig.setReady(intReg(1));
+    rig.setReady(intReg(2));
+    std::vector<SeqNum> order;
+    for (int i = 0; i < 200 && rig.occupancy() > 0; ++i) {
+        for (SeqNum s : rig.issue(1))
+            order.push_back(s);
+        rig.tick();
+    }
+    EXPECT_EQ(order, waiting);
+    rig.drain();
+}
+
+TEST(SegmentedIqEdge, SquashMidRingReusesOrdinals)
+{
+    EdgeRig rig(bypassParams(16, 8));
+    const std::size_t cap = rig.queue().ringCapacity();
+    SeqNum next = 1;
+    flowThrough(rig, next, static_cast<unsigned>(cap / 2));
+
+    // Eight entries in the middle of the ring, all in segment 0; the
+    // middle two are ready and issue, the rest wait on r1.
+    rig.clearReady(intReg(1));
+    const SeqNum first = next;
+    for (int i = 0; i < 8; ++i) {
+        const bool ready = i == 3 || i == 4;
+        ASSERT_TRUE(rig.dispatch(next++, Opcode::ADD, intReg(21),
+                                 ready ? intReg(3) : intReg(1)));
+    }
+    const std::uint64_t reused = rig.inst(first + 3)->seg.ord;
+    EXPECT_EQ(rig.issue(4), (std::vector<SeqNum>{first + 3, first + 4}));
+    rig.tick();
+
+    // Squash the three youngest.  The tail rewinds over them and over
+    // the two issued slots below them, down to the youngest resident.
+    rig.squash(first + 4);
+    EXPECT_EQ(rig.occupancy(), 3u);
+
+    // The re-dispatched path takes the freed ordinals.
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(rig.dispatch(next++, Opcode::ADD, intReg(22),
+                                 intReg(1)));
+    }
+    EXPECT_EQ(rig.inst(next - 4)->seg.ord, reused);
+    rig.tick();
+    rig.setReady(intReg(1));
+    std::vector<SeqNum> order;
+    for (int i = 0; i < 100 && rig.occupancy() > 0; ++i) {
+        for (SeqNum s : rig.issue(1))
+            order.push_back(s);
+        rig.tick();
+    }
+    EXPECT_EQ(order, (std::vector<SeqNum>{first, first + 1, first + 2,
+                                          next - 4, next - 3, next - 2,
+                                          next - 1}));
     rig.drain();
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.hh"
 #include "isa/sparse_memory.hh"
 
@@ -60,6 +62,49 @@ TEST(SparseMemory, Blobs)
     m.readBlob(0x300, out, 5);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(out[i], data[i]);
+}
+
+TEST(SparseMemory, UnalignedBlobSpanningThreePagesMatchesByteWrites)
+{
+    // Starts mid-page, covers one whole page and ends mid-page.
+    const Addr base = 3 * SparseMemory::kPageSize - 37;
+    const std::size_t len = SparseMemory::kPageSize + 37 + 101;
+    std::vector<std::uint8_t> data(len);
+    for (std::size_t i = 0; i < len; ++i)
+        data[i] = static_cast<std::uint8_t>(i * 7 + 3);
+
+    SparseMemory blob, bytes;
+    blob.writeBlob(base, data.data(), len);
+    for (std::size_t i = 0; i < len; ++i)
+        bytes.write(base + i, 1, data[i]);
+    EXPECT_EQ(blob.numPages(), 3u);
+    EXPECT_EQ(blob.numPages(), bytes.numPages());
+    EXPECT_TRUE(blob.equalContents(bytes));
+    for (std::size_t i = 0; i < len; ++i)
+        ASSERT_EQ(blob.read(base + i, 1), data[i]) << "byte " << i;
+    EXPECT_EQ(blob.read(base - 1, 1), 0u);
+    EXPECT_EQ(blob.read(base + len, 1), 0u);
+
+    std::vector<std::uint8_t> out(len, 0xAA);
+    blob.readBlob(base, out.data(), len);
+    EXPECT_EQ(out, data);
+}
+
+TEST(SparseMemory, ReadBlobAcrossUnmappedPageReadsZeros)
+{
+    SparseMemory m;
+    const Addr page = SparseMemory::kPageSize;
+    m.write(page - 2, 2, 0xBBAA);       // end of page 0
+    m.write(2 * page, 2, 0xDDCC);       // start of page 2; page 1 unmapped
+    std::vector<std::uint8_t> out(page + 4, 0xEE);
+    m.readBlob(page - 2, out.data(), out.size());
+    EXPECT_EQ(out[0], 0xAA);
+    EXPECT_EQ(out[1], 0xBB);
+    for (std::size_t i = 2; i < page + 2; ++i)
+        ASSERT_EQ(out[i], 0u) << "byte " << i;
+    EXPECT_EQ(out[page + 2], 0xCC);
+    EXPECT_EQ(out[page + 3], 0xDD);
+    EXPECT_EQ(m.numPages(), 2u);  // reading never allocates
 }
 
 TEST(SparseMemory, Doubles)
