@@ -12,13 +12,15 @@
  * retains, and how the prescheduling baseline (which freezes its
  * schedule at dispatch) falls behind when latencies mispredict.
  *
- * Usage: miss_tolerance [iters=N] [iq_size=N]
+ * Usage: miss_tolerance [iters=N] [iq_size=N]   (iq_size a multiple of 32)
  */
 
 #include <cstdio>
 #include <exception>
+#include <string>
 
 #include "common/config.hh"
+#include "common/errors.hh"
 #include "sim/job_exec.hh"
 #include "sim/simulator.hh"
 
@@ -32,6 +34,13 @@ compareMissTolerance(const ConfigMap &args)
     // Range-checked, so a negative value cannot wrap.
     const unsigned size = args.getUnsigned("iq_size", 256);
     const std::uint64_t iters = args.getUnsigned("iters", 3000);
+    // Every design below is built from 32-entry units (segments, FIFOs,
+    // the conventional baseline), so reject other sizes up front rather
+    // than let an empty queue run into the deadlock watchdog.
+    if (size < 32 || size % 32 != 0) {
+        throw ConfigError("'iq_size' must be a positive multiple of 32, "
+                          "got " + std::to_string(size));
+    }
 
     std::printf("Window-size tolerance of cache misses (IQ size %u)\n\n",
                 size);

@@ -10,6 +10,9 @@
  *   runner workload=equake ff=5000 iters=2000 resize=1
  *   runner help=1      lists every config key (config_fields.hh)
  *
+ * After the result row, `warm-up: cold|restored|none` says whether the
+ * ff= prefix was run here or restored from a ckpt_dir= checkpoint.
+ *
  * A failed run prints `ERROR: [<code>] <message>` and exits 2 for a
  * config or workload error, 1 for any other.
  */
@@ -49,6 +52,11 @@ runOne(const ConfigMap &args)
     RunResult r = sim.run();
     printResultHeader(std::cout);
     printResultRow(std::cout, r);
+    std::cout << "warm-up: "
+              << (cfg.fastForward == 0 ? "none"
+                  : r.ckptRestored     ? "restored"
+                                       : "cold")
+              << '\n';
 
     std::cout << "\nbranch mispredict/cond-branch: "
               << 100.0 * r.branchMispredictRate << "%"

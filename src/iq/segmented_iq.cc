@@ -13,6 +13,9 @@ namespace sciq {
 
 namespace {
 
+/** lowOrd of an empty segment: above every ordinal. */
+constexpr std::uint64_t kNoOrd = ~std::uint64_t{0};
+
 /** Accumulate wall-clock into `acc` while in scope (profiling only). */
 class ScopedTimer
 {
@@ -55,6 +58,7 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     }
     const unsigned n = params.numEntries / params.segmentSize;
     segCount.assign(n, 0);
+    lowOrd.assign(n, kNoOrd);
     freePrevCycle.assign(n, params.segmentSize);
 
     // The ring starts at the queue size and doubles when the reorder
@@ -634,6 +638,7 @@ SegmentedIq::enterSegment(DynInst *inst, unsigned k)
     inst->seg.segment = static_cast<int>(k);
     setBit(occOf(k), slotOf(*inst));
     ++segCount[k];
+    lowOrd[k] = std::min(lowOrd[k], inst->seg.ord);
     onSegSizeChanged(k);
 }
 
@@ -644,18 +649,25 @@ SegmentedIq::exitSegment(DynInst *inst)
     const unsigned k = static_cast<unsigned>(inst->seg.segment);
     clearBit(occOf(k), slotOf(*inst));
     --segCount[k];
+    // Ordinals are unique, so the rest are younger than the oldest.
+    if (segCount[k] == 0)
+        lowOrd[k] = kNoOrd;
+    else if (inst->seg.ord == lowOrd[k])
+        lowOrd[k] = inst->seg.ord + 1;
     onSegSizeChanged(k);
 }
 
 template <typename Word, typename Visit>
 void
-SegmentedIq::scanAge(Word word, Visit visit) const
+SegmentedIq::scanAge(unsigned k, Word word, Visit visit) const
 {
     // Walk ordinal-aligned 64-bit words; the ring capacity is a
-    // multiple of 64, so each is one mask word.  When the span wraps
-    // into the head's own word, the first visit keeps the bits from
-    // headOrd up and the last visit the bits below tailOrd.
-    const std::uint64_t head = headOrd;
+    // multiple of 64, so each is one mask word.  Segment k has no
+    // resident below lowOrd[k], so the walk starts there when that is
+    // past the head.  When the span wraps into the start's own word,
+    // the first visit keeps the bits from the start up and the last
+    // visit the bits below tailOrd.
+    const std::uint64_t head = std::max(headOrd, lowOrd[k]);
     const std::uint64_t tail = tailOrd;
     for (std::uint64_t base = head & ~std::uint64_t{63}; base < tail;
          base += 64) {
@@ -681,7 +693,7 @@ SegmentedIq::segmentEntries(unsigned k) const
     std::vector<DynInstPtr> out;
     out.reserve(segCount[k]);
     const std::uint64_t *occ = occOf(k);
-    scanAge([occ](std::size_t w) { return occ[w]; },
+    scanAge(k, [occ](std::size_t w) { return occ[w]; },
             [&](std::uint64_t ord) {
                 out.push_back(ring[ord & ringMask]);
                 return true;
@@ -847,6 +859,8 @@ SegmentedIq::issueSelect(Cycle cycle, const TryIssue &try_issue)
         // pinned (below) for the entry actually issued.
         const DynInstPtr &slot = ring[ord & ringMask];
         work.laneWordsTouched += 3;  // DynInstPtr deref + operand fields
+        if (visited == 0)
+            lowOrd[0] = ord;  // the oldest resident of the issue buffer
         const bool r = operandsReady(*slot);
         if (r)
             ++ready;
@@ -861,7 +875,7 @@ SegmentedIq::issueSelect(Cycle cycle, const TryIssue &try_issue)
         return ++visited < occ0;  // stop at the youngest entry
     };
     if (occ0 > 0)
-        scanAge(word, visit);
+        scanAge(0, word, visit);
     seg0Ready.sample(static_cast<double>(ready));
     seg0Occupancy.sample(static_cast<double>(occ0));
 }
@@ -1087,6 +1101,7 @@ SegmentedIq::tickPromote(Cycle cycle)
         const std::uint64_t *elig = eligOf(k);
         if (budget > 0 && eligCount[k] > 0) {
             scanAge(
+                k,
                 [&](std::size_t w) {
                     ++work.laneWordsTouched;  // one eligibility word
                     return elig[w];
@@ -1095,6 +1110,7 @@ SegmentedIq::tickPromote(Cycle cycle)
         }
         if (budget > 0 && pushdown_possible) {
             scanAge(
+                k,
                 [&](std::size_t w) {
                     work.laneWordsTouched += 2;  // occupancy + eligibility
                     return occ[w] & ~elig[w];

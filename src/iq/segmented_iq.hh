@@ -401,12 +401,13 @@ class SegmentedIq : public IqBase
     void exitSegment(DynInst *inst);
 
     /**
-     * Visit the ordinals in [headOrd, tailOrd) whose bit is set in
-     * `word(w)` (w = ring word index), oldest first, until `visit`
-     * returns false.
+     * Visit the ordinals of segment k's span, [max(headOrd, lowOrd[k]),
+     * tailOrd), whose bit is set in `word(w)` (w = ring word index),
+     * oldest first, until `visit` returns false.  `word` must read a
+     * subset of segment k's occupancy.
      */
     template <typename Word, typename Visit>
-    void scanAge(Word word, Visit visit) const;
+    void scanAge(unsigned k, Word word, Visit visit) const;
 
     /** Double the ring (and remap every mask) when the span fills it. */
     void growRing();
@@ -442,6 +443,11 @@ class SegmentedIq : public IqBase
     // Segment k, k = 0 the issue buffer: entry count plus occupancy and
     // promotion-eligibility bitmasks over the ring (ringWords each).
     std::vector<unsigned> segCount;
+    // Per segment, an ordinal no greater than any of its residents
+    // (UINT64_MAX when empty), so scans skip the older words: entering
+    // lowers it, the oldest resident leaving or being reached first by
+    // an issue scan raises it.
+    std::vector<std::uint64_t> lowOrd;
     std::vector<std::uint64_t> occBits;
     std::vector<std::uint64_t> eligBits;
 

@@ -75,9 +75,11 @@ class Program
     void load(SparseMemory &mem) const;
 
     /**
-     * Content fingerprint over base address, code and data blobs.
-     * Checkpoints embed it so a snapshot can only be restored against
-     * the exact program it was taken from.
+     * Content fingerprint over base address, code and data blobs:
+     * FNV-1a over the code and each blob's address and size, folding
+     * in the XXH64 of each blob's bytes.  Checkpoints embed it so a
+     * snapshot can only be restored against the exact program it was
+     * taken from.
      */
     std::uint64_t checksum() const;
 

@@ -304,10 +304,10 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 
     // Age ring and segment masks, from each resident's own state: its
     // ordinal names its slot and lies in [headOrd, tailOrd); ordinals
-    // increase with seq; its occupancy bit is set in its segment's mask
-    // only, and its eligibility bit there equals its promoEligible
-    // flag.  Popcounts matching the rescanned counts then rule out
-    // stray bits.
+    // increase with seq; it is not below its segment's low ordinal;
+    // its occupancy bit is set in its segment's mask only, and its
+    // eligibility bit there equals its promoEligible flag.  Popcounts
+    // matching the rescanned counts then rule out stray bits.
     {
         const std::size_t cap = iq.ring.size();
         auto bit = [](const std::uint64_t *mask, std::size_t pos) {
@@ -351,6 +351,17 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
             prev = inst.get();
             const std::size_t pos = ord & iq.ringMask;
             const int home = inst->seg.segment;
+            const std::uint64_t low =
+                home >= 0 && static_cast<unsigned>(home) < n
+                    ? iq.lowOrd[static_cast<unsigned>(home)]
+                    : 0;
+            if (ord < low) {
+                violation(occIndex, "segment low ordinal <= resident",
+                          cycle,
+                          who() + " in segment " + std::to_string(home) +
+                              " below its low ordinal " +
+                              std::to_string(low));
+            }
             for (unsigned k = 0; k < n; ++k) {
                 const bool here = home == static_cast<int>(k);
                 if (bit(iq.occOf(k), pos) != here) {

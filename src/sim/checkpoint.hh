@@ -19,7 +19,7 @@
  *   workload name/params | u64 ff insts | u64 program checksum |
  *   "FFST" FastForwardStats | "FUNC" FunctionalCore |
  *   "L1I_" "L1D_" "L2__" caches | "BPRD" "BTB_" "RAS_" "HMP_" "LRP_"
- *   predictors | "END_" | u64 FNV-1a trailer over everything before it.
+ *   predictors | "END_" | u64 XXH64 trailer over everything before it.
  *
  * The trailer detects corruption/truncation before any section is
  * parsed; the key hash and program checksum reject checkpoints taken
@@ -47,7 +47,7 @@ namespace sciq {
 // error taxonomy (DESIGN.md §13); re-exported here for its users.
 
 /** Format version; bump on any layout change. */
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
  * Cache key for a warm-up: hashes exactly the inputs that determine

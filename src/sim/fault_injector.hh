@@ -105,7 +105,7 @@ class FaultInjector
      * Deterministically flip bytes in `blob` (seeded by the injector's
      * seed and the count of corruptions so far, so repeated faults
      * differ from each other but never between runs).  Flipping any
-     * byte breaks the FNV-1a trailer, so restore must reject the blob.
+     * byte breaks the XXH64 trailer, so restore must reject the blob.
      */
     void
     corrupt(std::string &blob) const

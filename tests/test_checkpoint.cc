@@ -17,6 +17,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "branch/branch_predictor.hh"
@@ -25,6 +26,7 @@
 #include "branch/left_right_predictor.hh"
 #include "branch/ras.hh"
 #include "common/serialize.hh"
+#include "isa/program.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fast_forward.hh"
 #include "sim/simulator.hh"
@@ -148,8 +150,60 @@ TEST(Serialize, FnvMatchesKnownVector)
 {
     // FNV-1a 64-bit test vector: empty input hashes to the offset
     // basis, and "a" to 0xaf63dc4c8601ec8c.
-    EXPECT_EQ(serial::fnv1a(nullptr, 0), 0xcbf29ce484222325ULL);
-    EXPECT_EQ(serial::fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+    serial::Fnv64 empty;
+    EXPECT_EQ(empty.digest(), 0xcbf29ce484222325ULL);
+    serial::Fnv64 a;
+    a.update("a");
+    EXPECT_EQ(a.digest(), 0xaf63dc4c8601ec8cULL);
+}
+
+TEST(Serialize, Xxh64MatchesPublishedVectors)
+{
+    // XXH64 reference vectors (seed 0).
+    EXPECT_EQ(serial::xxh64(nullptr, 0), 0xEF46DB3751D8E999ULL);
+    EXPECT_EQ(serial::xxh64("a", 1), 0xD24EC4F1A98C6E5BULL);
+}
+
+TEST(Serialize, Xxh64DistinguishesEveryLength)
+{
+    // Lengths 0..64 cover the byte, 4-byte and 8-byte tails and one
+    // and two 32-byte stripes.
+    std::string buf(64, '\0');
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<char>(i * 37 + 11);
+    std::set<std::uint64_t> seen;
+    for (std::size_t len = 0; len <= buf.size(); ++len)
+        EXPECT_TRUE(seen.insert(serial::xxh64(buf.data(), len)).second)
+            << "length " << len << " collides";
+}
+
+TEST(Serialize, Xxh64SeesEverySingleBitFlip)
+{
+    std::string buf(100, '\0');
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<char>(i * 13 + 5);
+    const std::uint64_t clean = serial::xxh64(buf.data(), buf.size());
+    for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+        std::string flipped = buf;
+        flipped[bit / 8] =
+            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        EXPECT_NE(serial::xxh64(flipped.data(), flipped.size()), clean)
+            << "bit " << bit;
+    }
+}
+
+TEST(ProgramChecksum, ChangesWithOneDataByte)
+{
+    auto build = [](std::uint8_t last) {
+        Program p;
+        p.addWords(0x10000, {1, 2, 3});
+        std::vector<std::uint8_t> bytes(40, 0x5a);
+        bytes.back() = last;
+        p.addData(0x20000, std::move(bytes));
+        return p;
+    };
+    EXPECT_EQ(build(0x5a).checksum(), build(0x5a).checksum());
+    EXPECT_NE(build(0x5a).checksum(), build(0x5b).checksum());
 }
 
 // ---------------------------------------------------------------------
@@ -514,6 +568,16 @@ TEST_F(CheckpointReject, FutureVersionIsRejected)
 {
     std::string bad = blob;
     bad[8] = static_cast<char>(kCheckpointVersion + 1);
+    expectReject(bad, "version");
+}
+
+TEST_F(CheckpointReject, PreviousVersionIsRejected)
+{
+    // Version 1 blobs carried an FNV-1a trailer; their cache keys
+    // differ too, so a cache never finds them, but a blob handed in
+    // directly must still be refused by its version.
+    std::string bad = blob;
+    bad[8] = static_cast<char>(kCheckpointVersion - 1);
     expectReject(bad, "version");
 }
 
