@@ -13,11 +13,10 @@
  * the sweep; surviving workers reconnect by themselves.
  *
  * Usage examples:
- *   # coordinator, expecting ~3 workers, over a unix socket
- *   sweep_serve socket=/tmp/sweep.sock workers=3 out=dist.json \
- *               journal=dist.jsonl
+ *   # coordinator over a unix socket (any number of workers)
+ *   sweep_serve socket=/tmp/sweep.sock out=dist.json journal=dist.jsonl
  *   # same over TCP (workers connect=host:port from other machines)
- *   sweep_serve listen=0.0.0.0:7070 workers=3 journal=dist.jsonl
+ *   sweep_serve listen=0.0.0.0:7070 journal=dist.jsonl
  *   # single-process reference over the same config set
  *   sweep_serve mode=local jobs=4 out=ref.json
  *   # explicit config list (one configSpec line per job)
@@ -64,9 +63,8 @@ splitList(const std::string &csv)
 
 /**
  * The built-in config sets.  `quick` is the CI differential set: three
- * IQ designs per workload, big enough to exercise sharding and work
- * stealing, small enough for a smoke gate.  `tiny` is for local
- * experiments.
+ * IQ designs per workload, enough jobs to keep a few workers busy,
+ * small enough for a smoke gate.  `tiny` is for local experiments.
  */
 std::vector<SimConfig>
 presetConfigs(const std::string &preset,
@@ -131,12 +129,10 @@ main(int argc, char **argv)
             "      socket=PATH          AF_UNIX listen socket\n"
             "      listen=HOST:PORT     TCP listener instead of a "
             "socket\n"
-            "      workers=N            expected worker count (= shard "
-            "count)\n"
-            "      lease_ms=N lease_drops=N dup_ms=N grace_ms=N\n"
+            "      lease_ms=N lease_drops=N grace_ms=N\n"
             "      heartbeat_ms=N       ping cadence (0 disables)\n"
             "      drain_ms=N           SIGTERM/SIGINT drain window\n"
-            "      journal=FILE out=FILE sync_journal=0|1\n"
+            "      journal=FILE out=FILE\n"
             "      jobs=N ckpt_dir=DIR  (mode=local)\n"
             "      retries=N artifact_dir=DIR\n";
         return 0;
@@ -146,10 +142,9 @@ main(int argc, char **argv)
         configKeys(ConfigClass::Identity, ConfigClass::Sweep);
     known.insert(known.end(),
                  {"mode", "preset", "spec", "workloads", "socket",
-                  "listen", "workers", "lease_ms", "lease_drops",
-                  "dup_ms", "grace_ms", "heartbeat_ms", "drain_ms",
-                  "journal", "out", "sync_journal", "jobs", "ckpt_dir",
-                  "retries", "artifact_dir", "help"});
+                  "listen", "lease_ms", "lease_drops", "grace_ms",
+                  "heartbeat_ms", "drain_ms", "journal", "out", "jobs",
+                  "ckpt_dir", "retries", "artifact_dir", "help"});
     const std::string complaint = args.unknownKeyMessage(known);
     if (!complaint.empty()) {
         std::cerr << complaint << "\n";
@@ -170,10 +165,8 @@ main(int argc, char **argv)
             serve.endpoint =
                 args.getString("socket", "/tmp/sciq-sweep.sock");
         }
-        serve.shards = args.getUnsigned("workers", 1);
         serve.leaseMs = args.getUnsigned("lease_ms", 60'000);
         serve.maxLeaseDrops = args.getUnsigned("lease_drops", 3);
-        serve.duplicateAfterMs = args.getUnsigned("dup_ms", 1'000);
         serve.workerGraceMs = args.getUnsigned("grace_ms", 60'000);
         serve.heartbeatMs = args.getUnsigned("heartbeat_ms", 1'000);
         serve.drainGraceMs = args.getUnsigned("drain_ms", 2'000);
@@ -233,7 +226,6 @@ main(int argc, char **argv)
             results = SweepRunner(jobs).run(configs, local);
         } else if (mode == "serve") {
             serve.journal = args.getString("journal");
-            serve.syncJournal = args.getInt("sync_journal", 1) != 0;
             serve.progress = progress;
 
             // Graceful drain on SIGTERM/SIGINT: stop leasing, journal
@@ -247,10 +239,8 @@ main(int argc, char **argv)
             interrupted = stats.interrupted;
             std::cout << "served " << results.size() << " jobs to "
                       << stats.workersSeen << " workers: "
-                      << stats.leases << " leases, " << stats.steals
-                      << " steals, " << stats.duplicates
-                      << " duplicate leases ("
-                      << stats.duplicateResults << " losing results), "
+                      << stats.leases << " leases, "
+                      << stats.duplicateResults << " duplicate results, "
                       << stats.requeues << " requeues, "
                       << stats.boardFailed << " drop-cap failures, "
                       << stats.rejectedWorkers << " rejected workers, "

@@ -71,10 +71,6 @@ visitConfigFields(V &&v, C &c)
     v("wrong_path", I, c.core.modelWrongPath);
     v("ff", I | S, c.fastForward);
     v("max_cycles", I, c.maxCycles);
-    // Architected faults (DESIGN.md §13) change the run even with the
-    // auditor off, so they are identity.
-    v("fault_commit_stall", I, c.core.faultCommitStallAt);
-    v("fault_overpromote", I, c.core.iq.auditInjectOverPromote);
 
     v("validate", J, c.validate);
     v("audit", J | S, c.audit);

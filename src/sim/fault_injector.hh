@@ -2,9 +2,9 @@
  * @file
  * Deterministic seeded fault injection (DESIGN.md §13).
  *
- * Generalizes the auditor's forced over-promotion (`fault_overpromote`)
- * into a small menu of faults that each target one detection/recovery path so
- * negative tests can prove the path actually fires:
+ * Generalizes the auditor's forced over-promotion into a small menu
+ * of faults that each target one detection/recovery path so negative
+ * tests can prove the path actually fires:
  *
  *   - checkpoint-blob corruption   -> trailer checksum rejection and
  *     the checkpoint cache's warn+repair path
@@ -15,11 +15,10 @@
  *   - artificial commit stall      -> watchdog DeadlockError with a
  *     pipeline state dump (CoreParams::faultCommitStallAt)
  *
- * The last two change cycles, so they are identity config keys
- * (`fault_overpromote=`, `fault_commit_stall=`).  This injector carries
- * the rest and is reachable from tests only, through the `faults`
- * member of SimConfig, ServeOptions and WorkerOptions; no config key
- * or command-line option builds one.
+ * The last two are plain core/IQ parameters that tests set directly.
+ * This injector carries the rest and is reachable from tests only,
+ * through the `faults` member of SimConfig, ServeOptions and
+ * WorkerOptions.  No fault has a config key or command-line option.
  *
  * Budgeted faults (`corruptCkptReads`, `failDiskWrites`) count down
  * atomically: a budget of 1 faults exactly the first attempt and lets

@@ -3,9 +3,10 @@
  * Shared fault-containment plumbing for sweep job execution: exception
  * classification through the error taxonomy, Failed/Timeout result
  * rows, and failure-artifact persistence (DESIGN.md §13).  Used by the
- * in-process sweep (sweep.cc) and the sharded sweep service (shard.cc)
- * so a contained failure looks identical however the job was executed,
- * and by the single-run examples to report one (reportFailure).
+ * in-process sweep (sweep.cc) and the distributed sweep service
+ * (shard.cc) so a contained failure looks identical however the job
+ * was executed, and by the single-run examples to report one
+ * (reportFailure).
  */
 
 #ifndef SCIQ_SIM_JOB_EXEC_HH

@@ -11,6 +11,7 @@
 
 #include "common/errors.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "sim/checkpoint.hh"
 #include "sim/config_fields.hh"
 #include "sim/fault_injector.hh"
@@ -19,25 +20,6 @@
 #include "sim/worker_proto.hh"
 
 namespace sciq {
-
-std::uint64_t
-shardHash(const std::string &sweep_key)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : sweep_key) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-unsigned
-shardOf(const std::string &sweep_key, unsigned shards)
-{
-    if (shards <= 1)
-        return 0;
-    return static_cast<unsigned>(shardHash(sweep_key) % shards);
-}
 
 std::string
 configSpec(const SimConfig &config)
@@ -64,102 +46,31 @@ configFromSpec(const std::string &spec)
 // ---------------------------------------------------------------------
 // JobBoard
 
-JobBoard::JobBoard(const std::vector<std::string> &keys,
-                   const std::vector<char> &done, const Options &options)
-    : options_(options)
+JobBoard::JobBoard(const std::vector<char> &done, const Options &options)
+    : options_(options), jobs_(done.size())
 {
-    if (options_.shards == 0)
-        options_.shards = 1;
-    jobs_.resize(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        jobs_[i].key = keys[i];
-        jobs_[i].shard = shardOf(keys[i], options_.shards);
-        if (i < done.size() && done[i]) {
+    for (std::size_t i = 0; i < done.size(); ++i) {
+        if (done[i]) {
             jobs_[i].done = true;
             ++doneCount_;
         }
     }
 }
 
-unsigned
-JobBoard::shardOfJob(std::size_t index) const
-{
-    return jobs_[index].shard;
-}
-
 JobBoard::Grant
-JobBoard::lease(int worker, unsigned shard, Clock::time_point now,
-                std::size_t &index)
+JobBoard::lease(int worker, Clock::time_point now, std::size_t &index)
 {
     if (allDone())
         return Grant::Drained;
-
-    auto grant = [&](std::size_t i) {
-        jobs_[i].active.push_back(
-            {worker, now, now + std::chrono::milliseconds(options_.leaseMs)});
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+        Job &j = jobs_[i];
+        if (j.done || j.worker >= 0)
+            continue;
+        j.worker = worker;
+        j.deadline = now + std::chrono::milliseconds(options_.leaseMs);
         ++leases_;
         index = i;
         return Grant::Leased;
-    };
-
-    // 1. Pending work from the worker's own shard, in input order.
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        const Job &j = jobs_[i];
-        if (!j.done && j.active.empty() && j.shard == shard)
-            return grant(i);
-    }
-
-    // 2. Steal from the shard with the most pending work so straggler
-    //    shards drain fastest.
-    std::vector<std::size_t> pendingPerShard(options_.shards, 0);
-    bool anyPending = false;
-    for (const Job &j : jobs_) {
-        if (!j.done && j.active.empty()) {
-            ++pendingPerShard[j.shard];
-            anyPending = true;
-        }
-    }
-    if (anyPending) {
-        const unsigned victim = static_cast<unsigned>(std::distance(
-            pendingPerShard.begin(),
-            std::max_element(pendingPerShard.begin(),
-                             pendingPerShard.end())));
-        for (std::size_t i = 0; i < jobs_.size(); ++i) {
-            const Job &j = jobs_[i];
-            if (!j.done && j.active.empty() && j.shard == victim) {
-                ++steals_;
-                return grant(i);
-            }
-        }
-    }
-
-    // 3. Straggler hedging: duplicate the longest-outstanding lease
-    //    once it is old enough, as long as this worker does not
-    //    already hold it.  First result wins; the loser is discarded.
-    const auto oldEnough =
-        now - std::chrono::milliseconds(options_.duplicateAfterMs);
-    std::size_t best = jobs_.size();
-    Clock::time_point bestStart{};
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        const Job &j = jobs_[i];
-        if (j.done || j.active.empty())
-            continue;
-        Clock::time_point oldest = j.active.front().start;
-        bool mine = false;
-        for (const Lease &l : j.active) {
-            oldest = std::min(oldest, l.start);
-            mine = mine || l.worker == worker;
-        }
-        if (mine || oldest > oldEnough)
-            continue;
-        if (best == jobs_.size() || oldest < bestStart) {
-            best = i;
-            bestStart = oldest;
-        }
-    }
-    if (best != jobs_.size()) {
-        ++duplicates_;
-        return grant(best);
     }
     return Grant::Wait;
 }
@@ -171,7 +82,7 @@ JobBoard::complete(std::size_t index)
     if (j.done)
         return false;
     j.done = true;
-    j.active.clear();
+    j.worker = -1;
     ++doneCount_;
     return true;
 }
@@ -181,6 +92,7 @@ JobBoard::drop(std::size_t index, std::vector<std::size_t> &requeued,
                std::vector<std::size_t> &failed)
 {
     Job &j = jobs_[index];
+    j.worker = -1;
     ++j.drops;
     if (j.drops > options_.maxLeaseDrops) {
         j.done = true;
@@ -197,19 +109,7 @@ JobBoard::workerLost(int worker, std::vector<std::size_t> &requeued,
                      std::vector<std::size_t> &failed)
 {
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        Job &j = jobs_[i];
-        if (j.done || j.active.empty())
-            continue;
-        const std::size_t before = j.active.size();
-        j.active.erase(
-            std::remove_if(j.active.begin(), j.active.end(),
-                           [worker](const Lease &l) {
-                               return l.worker == worker;
-                           }),
-            j.active.end());
-        // Only an orphaned job (no surviving duplicate lease) counts
-        // as a drop; a lost duplicate is covered by the original.
-        if (before != j.active.size() && j.active.empty())
+        if (!jobs_[i].done && jobs_[i].worker == worker)
             drop(i, requeued, failed);
     }
 }
@@ -220,16 +120,8 @@ JobBoard::expireLeases(Clock::time_point now,
                        std::vector<std::size_t> &failed)
 {
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        Job &j = jobs_[i];
-        if (j.done || j.active.empty())
-            continue;
-        const std::size_t before = j.active.size();
-        j.active.erase(std::remove_if(j.active.begin(), j.active.end(),
-                                      [now](const Lease &l) {
-                                          return l.deadline <= now;
-                                      }),
-                       j.active.end());
-        if (before != j.active.size() && j.active.empty())
+        const Job &j = jobs_[i];
+        if (!j.done && j.worker >= 0 && j.deadline <= now)
             drop(i, requeued, failed);
     }
 }
@@ -247,7 +139,6 @@ struct Conn
     LineChannel ch;
     bool helloed = false;
     bool dead = false;
-    unsigned shard = 0;
     std::string name;
     LineChannel::Clock::time_point lastPing =
         LineChannel::Clock::now();
@@ -285,15 +176,10 @@ serveSweep(const std::vector<SimConfig> &configs,
     if (!options.journal.empty()) {
         applyJournal(options.journal, keys, results, have);
         journal = std::make_unique<ResultJournal>(options.journal,
-                                                  options.syncJournal);
+                                                  /*sync=*/true);
     }
 
-    JobBoard::Options boardOptions;
-    boardOptions.shards = options.shards == 0 ? 1 : options.shards;
-    boardOptions.leaseMs = options.leaseMs;
-    boardOptions.maxLeaseDrops = options.maxLeaseDrops;
-    boardOptions.duplicateAfterMs = options.duplicateAfterMs;
-    JobBoard board(keys, have, boardOptions);
+    JobBoard board(have, {options.leaseMs, options.maxLeaseDrops});
 
     ServeStats stats;
     std::size_t done = 0;
@@ -343,7 +229,6 @@ serveSweep(const std::vector<SimConfig> &configs,
         options.boundPortOut->store(boundPort(lfd));
     std::list<Conn> conns;
     int nextConnId = 0;
-    unsigned nextShard = 0;
     auto lastWorkerSeen = Clock::now();
     bool draining = false;
     Clock::time_point drainStart{};
@@ -381,12 +266,9 @@ serveSweep(const std::vector<SimConfig> &configs,
                 }
                 conn.helloed = true;
                 conn.name = msg.worker;
-                conn.shard = nextShard++ % boardOptions.shards;
                 ++stats.workersSeen;
                 reply.type = MsgType::Welcome;
                 reply.proto = kWorkerProtoVersion;
-                reply.shard = static_cast<int>(conn.shard);
-                reply.shards = boardOptions.shards;
                 reply.jobs = total;
                 reply.leaseMs = options.leaseMs;
                 reply.heartbeatMs = options.heartbeatMs;
@@ -414,8 +296,7 @@ serveSweep(const std::vector<SimConfig> &configs,
                         return false;
                     break;
                 }
-                switch (board.lease(conn.id, conn.shard, Clock::now(),
-                                    index)) {
+                switch (board.lease(conn.id, Clock::now(), index)) {
                   case JobBoard::Grant::Leased:
                     reply.type = MsgType::Lease;
                     reply.index = index;
@@ -448,9 +329,8 @@ serveSweep(const std::vector<SimConfig> &configs,
                 else
                     ++stats.duplicateResults;
                 // Ack even the duplicate: the worker must learn its
-                // copy is no longer needed, whichever lease won.  The
-                // journal row (fsync'd under syncJournal) is already
-                // durable by the time finishJob returned.
+                // copy is no longer needed.  The journal row is
+                // fsync'd by the time finishJob returned.
                 Message ack;
                 ack.type = MsgType::ResultAck;
                 ack.index = index;
@@ -611,8 +491,6 @@ serveSweep(const std::vector<SimConfig> &configs,
     cleanup();
 
     stats.leases = board.leases();
-    stats.steals = board.steals();
-    stats.duplicates = board.duplicates();
     stats.requeues = board.requeues();
     if (stats_out)
         *stats_out = stats;
@@ -774,7 +652,9 @@ runWorker(const WorkerOptions &options)
     // result or a granted lease).  Reset on progress, so a long sweep
     // tolerates any number of coordinator restarts.
     unsigned failures = 0;
-    const std::uint64_t jitterSeed = shardHash(options.name) | 1;
+    serial::Fnv64 nameHash;
+    nameHash.update(options.name);
+    const std::uint64_t jitterSeed = nameHash.digest() | 1;
     bool everConnected = false;
 
     for (;;) {

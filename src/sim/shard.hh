@@ -1,7 +1,7 @@
 /**
  * @file
- * Distributed sweep service: coordinator/worker sharding with leased
- * jobs (DESIGN.md §17).
+ * Distributed sweep service: one coordinator leasing jobs to many
+ * workers (DESIGN.md §17).
  *
  * One sweep, many processes.  The coordinator (serveSweep) owns the
  * job list and the final results vector; workers (runWorker, or the
@@ -14,13 +14,10 @@
  * to a single-process `jobs=N` run of the same configs (modulo the
  * wall-clock host/warm fields, exactly as between two local runs).
  *
- * Sharding: every job has a static home shard, shardOf(sweepKey, K) —
- * a pure function of the host-setting-free sweep key, so the partition
- * is stable under any permutation of the job list and any lease/retry
- * history.  An idle worker is served (1) pending jobs from its own
- * shard, then (2) pending jobs stolen from the fullest other shard,
- * then (3) a duplicate lease of the longest-outstanding in-flight job
- * (straggler hedging; first result wins, the duplicate is discarded).
+ * Leasing is one in-order queue: an idle worker gets the lowest-index
+ * job that is neither done nor leased.  Every job is a deterministic
+ * function of its spec and the merge is by job index, so which worker
+ * runs a job never shows in the output.
  *
  * Fault taxonomy reuse (DESIGN.md §13): a worker death is a lease
  * fault.  Its connection EOF (or lease expiry for a wedged-but-alive
@@ -55,15 +52,6 @@ namespace sciq {
 
 class FaultInjector;
 
-/** FNV-1a over a sweep key (the shard hash; stable across hosts). */
-std::uint64_t shardHash(const std::string &sweep_key);
-
-/**
- * Home shard of a job: a pure, permutation-stable function of its
- * host-setting-free sweepKey.  `shards == 0` is treated as 1.
- */
-unsigned shardOf(const std::string &sweep_key, unsigned shards);
-
 /**
  * Complete wire form of a configuration: sweepKey(config) followed by
  * the Job-class fields of the config table (config_fields.hh).
@@ -77,8 +65,9 @@ std::string configSpec(const SimConfig &config);
 SimConfig configFromSpec(const std::string &spec);
 
 /**
- * Coordinator-side lease state machine.  Socket-free and clocked
- * explicitly so tests can drive expiry deterministically.
+ * Coordinator-side lease queue.  Each job holds at most one lease.
+ * Socket-free and clocked explicitly so tests can drive expiry
+ * deterministically.
  */
 class JobBoard
 {
@@ -87,15 +76,15 @@ class JobBoard
 
     struct Options
     {
-        unsigned shards = 1;            ///< static home-shard count
-        unsigned leaseMs = 60'000;      ///< lease length before expiry
-        unsigned maxLeaseDrops = 3;     ///< drops before the job fails
-        unsigned duplicateAfterMs = 1'000;  ///< straggler-hedge age
+        unsigned leaseMs = 60'000;   ///< lease length before expiry
+        unsigned maxLeaseDrops = 3;  ///< drops before the job fails
     };
 
-    /** `done[i]` marks jobs already satisfied (journal resume). */
-    JobBoard(const std::vector<std::string> &keys,
-             const std::vector<char> &done, const Options &options);
+    /**
+     * One job per entry of `done`; `done[i]` marks jobs already
+     * satisfied (journal resume).
+     */
+    JobBoard(const std::vector<char> &done, const Options &options);
 
     enum class Grant
     {
@@ -105,21 +94,20 @@ class JobBoard
     };
 
     /**
-     * Lease one job to the worker with connection id `worker` whose
-     * assigned home shard is `shard`.
+     * Lease the lowest-index pending, unleased job to the worker with
+     * connection id `worker`.
      */
-    Grant lease(int worker, unsigned shard, Clock::time_point now,
-                std::size_t &index);
+    Grant lease(int worker, Clock::time_point now, std::size_t &index);
 
     /**
      * Record a finished job.  Returns false when the job was already
-     * completed (a duplicate lease lost the race) — the caller must
-     * discard that result.
+     * completed (a result redelivered after a reconnect or an expired
+     * lease) — the caller must discard that result.
      */
     bool complete(std::size_t index);
 
     /**
-     * Drop every lease held by `worker` (its connection died).
+     * Drop the leases held by `worker` (its connection died).
      * Requeued job indices are appended to `requeued`; jobs that hit
      * the drop cap are appended to `failed` and marked done.
      */
@@ -133,31 +121,21 @@ class JobBoard
 
     bool allDone() const { return doneCount_ == jobs_.size(); }
     std::size_t remaining() const { return jobs_.size() - doneCount_; }
-    unsigned shardOfJob(std::size_t index) const;
 
     // Observability (serveSweep logs these; tests pin them).
     std::uint64_t leases() const { return leases_; }
-    std::uint64_t steals() const { return steals_; }
-    std::uint64_t duplicates() const { return duplicates_; }
     std::uint64_t requeues() const { return requeues_; }
 
   private:
-    struct Lease
+    struct Job
     {
-        int worker = -1;
-        Clock::time_point start;
+        bool done = false;
+        unsigned drops = 0;
+        int worker = -1;  ///< lease holder; -1 = not leased
         Clock::time_point deadline;
     };
 
-    struct Job
-    {
-        std::string key;
-        unsigned shard = 0;
-        bool done = false;
-        unsigned drops = 0;
-        std::vector<Lease> active;  ///< >1 only under duplicate leases
-    };
-
+    /** Release job `index`'s lease and charge it one drop. */
     void drop(std::size_t index, std::vector<std::size_t> &requeued,
               std::vector<std::size_t> &failed);
 
@@ -165,8 +143,6 @@ class JobBoard
     std::vector<Job> jobs_;
     std::size_t doneCount_ = 0;
     std::uint64_t leases_ = 0;
-    std::uint64_t steals_ = 0;
-    std::uint64_t duplicates_ = 0;
     std::uint64_t requeues_ = 0;
 };
 
@@ -180,16 +156,8 @@ struct ServeOptions
      */
     std::string endpoint;
 
-    /**
-     * Expected worker count = static shard count for shardOf().  The
-     * coordinator still serves fewer or more workers than this; it
-     * only fixes the partition function.  0 = 1.
-     */
-    unsigned shards = 1;
-
     unsigned leaseMs = 60'000;
     unsigned maxLeaseDrops = 3;
-    unsigned duplicateAfterMs = 1'000;
 
     /**
      * Abort (ResourceError) when no worker is connected for this long
@@ -205,16 +173,12 @@ struct ServeOptions
      */
     unsigned heartbeatMs = 1'000;
 
-    /** Same resumable JSONL journal as SweepRunner::Options. */
-    std::string journal;
-
     /**
-     * fsync the journal before each result is acked/counted.  On by
-     * default: without it a coordinator crash can lose a
-     * recorded-but-buffered row and break resume bit-identity.  Tests
-     * that hammer thousands of tiny journals may turn it off.
+     * Same resumable JSONL journal as SweepRunner::Options.  Each row
+     * is fsync'd before its result is acked, so a coordinator crash
+     * cannot lose a result a worker already discarded.
      */
-    bool syncJournal = true;
+    std::string journal;
 
     /**
      * Graceful-drain trigger (SIGTERM/SIGINT in the binary): when the
@@ -248,10 +212,8 @@ struct ServeOptions
 struct ServeStats
 {
     std::uint64_t leases = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t duplicates = 0;
     std::uint64_t requeues = 0;
-    std::uint64_t duplicateResults = 0;  ///< losing duplicate leases
+    std::uint64_t duplicateResults = 0;  ///< results already recorded
     std::uint64_t boardFailed = 0;       ///< jobs failed by drop cap
     std::uint64_t rejectedWorkers = 0;   ///< handshake rejections
     std::uint64_t workersSeen = 0;

@@ -52,8 +52,7 @@ encodeMessage(const Message &msg)
         json::writeString(os, msg.worker);
         break;
       case MsgType::Welcome:
-        os << ",\"proto\":" << msg.proto << ",\"shard\":" << msg.shard
-           << ",\"shards\":" << msg.shards << ",\"jobs\":" << msg.jobs
+        os << ",\"proto\":" << msg.proto << ",\"jobs\":" << msg.jobs
            << ",\"lease_ms\":" << msg.leaseMs
            << ",\"heartbeat_ms\":" << msg.heartbeatMs;
         break;
@@ -117,15 +116,6 @@ wireU32(const json::Value &v)
     return static_cast<unsigned>(u);
 }
 
-int
-wireI32(const json::Value &v)
-{
-    const double d = v.asNumber();
-    if (!(d >= -2147483648.0) || d > 2147483647.0 || d != std::floor(d))
-        throw std::range_error("wire number out of range");
-    return static_cast<int>(d);
-}
-
 } // namespace
 
 bool
@@ -141,8 +131,6 @@ decodeMessage(const std::string &line, Message &out)
         } else if (type == "welcome") {
             out.type = MsgType::Welcome;
             out.proto = wireU32(v.at("proto"));
-            out.shard = wireI32(v.at("shard"));
-            out.shards = wireU32(v.at("shards"));
             out.jobs = static_cast<std::size_t>(wireU64(v.at("jobs")));
             out.leaseMs = wireU32(v.at("lease_ms"));
             out.heartbeatMs = v.contains("heartbeat_ms")

@@ -7,10 +7,9 @@
  * field, exchanged over a stream socket — AF_UNIX on one host, or
  * AF_INET/AF_INET6 (`host:port` endpoints) across machines:
  *
- *   worker -> coordinator   {"type":"hello","proto":2,"worker":"w0"}
- *   coordinator -> worker   {"type":"welcome","proto":2,"shard":0,
- *                            "shards":3,"jobs":42,"lease_ms":60000,
- *                            "heartbeat_ms":1000}
+ *   worker -> coordinator   {"type":"hello","proto":4,"worker":"w0"}
+ *   coordinator -> worker   {"type":"welcome","proto":4,"jobs":42,
+ *                            "lease_ms":60000,"heartbeat_ms":1000}
  *                           {"type":"reject","reason":"..."}
  *   worker -> coordinator   {"type":"lease_req"}
  *   coordinator -> worker   {"type":"lease","index":7,"key":"...",
@@ -65,7 +64,7 @@
 namespace sciq {
 
 /** Wire-format version; bump on any message, layout or configSpec change. */
-constexpr unsigned kWorkerProtoVersion = 3;
+constexpr unsigned kWorkerProtoVersion = 4;
 
 /** A peer silent for this many heartbeat intervals is dead. */
 constexpr unsigned kHeartbeatTimeoutFactor = 3;
@@ -73,7 +72,7 @@ constexpr unsigned kHeartbeatTimeoutFactor = 3;
 enum class MsgType
 {
     Hello,      ///< worker introduces itself (proto, name)
-    Welcome,    ///< coordinator accepts (shard id, totals, heartbeat)
+    Welcome,    ///< coordinator accepts (totals, lease, heartbeat)
     Reject,     ///< coordinator refuses (version mismatch, bad state)
     LeaseReq,   ///< idle worker asks for a job
     Lease,      ///< one job: index, sweep key, full config spec
@@ -93,8 +92,6 @@ struct Message
 
     unsigned proto = 0;       ///< hello/welcome
     std::string worker;       ///< hello: worker name
-    int shard = -1;           ///< welcome: assigned shard id
-    unsigned shards = 0;      ///< welcome: coordinator shard count
     std::size_t jobs = 0;     ///< welcome: total jobs in the sweep
     unsigned leaseMs = 0;     ///< welcome: lease length workers see
     unsigned heartbeatMs = 0; ///< welcome: ping cadence (0 = disabled)

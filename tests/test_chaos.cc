@@ -133,12 +133,10 @@ runChaosTrial(const std::vector<SimConfig> &cfgs, std::uint64_t seed)
     const std::size_t abortAt = 1 + rng.below(cfgs.size());
 
     ServeOptions base;
-    base.shards = 2;
     base.leaseMs = 60'000;
     base.workerGraceMs = 30'000;
     base.heartbeatMs = 500;
     base.journal = journal;
-    base.syncJournal = true;
 
     std::atomic<unsigned> port{0};
     std::thread coord([&] {
@@ -255,7 +253,6 @@ TEST(Chaos, GracefulDrainLeavesAResumableJournal)
 
     std::atomic<bool> stop{false};
     ServeOptions base;
-    base.shards = 2;
     base.workerGraceMs = 30'000;
     base.heartbeatMs = 500;
     base.journal = journal;

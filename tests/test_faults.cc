@@ -300,20 +300,17 @@ TEST(FaultKeys, ConfigMapBuildsInjectorAndWatchdog)
     ConfigMap m;
     m.set("watchdog_cycles", "12345");
     m.set("deadline_sec", "2.5");
-    m.set("fault_commit_stall", "777");
-    m.set("fault_overpromote", "1");
     cfg.apply(m);
 
     EXPECT_EQ(cfg.core.watchdogCycles, 12345u);
     EXPECT_DOUBLE_EQ(cfg.deadlineSec, 2.5);
-    EXPECT_EQ(cfg.core.faultCommitStallAt, 777u);
-    EXPECT_TRUE(cfg.core.iq.auditInjectOverPromote);
     EXPECT_EQ(cfg.faults, nullptr) << "no key builds an injector";
 
-    // The injector and the step reference are reachable from tests
-    // only: their former keys are unknown.
-    for (const char *key : {"fault_seed", "fault_ckpt_corrupt",
-                            "fault_disk_fail", "bb_cache", "ckpt"}) {
+    // Every fault, the injector and the step reference are reachable
+    // from tests only: their former keys are unknown.
+    for (const char *key :
+         {"fault_seed", "fault_ckpt_corrupt", "fault_disk_fail",
+          "fault_commit_stall", "fault_overpromote", "bb_cache", "ckpt"}) {
         ConfigMap removed;
         removed.set(key, "1");
         EXPECT_THROW(SimConfig().apply(removed), ConfigError) << key;

@@ -211,8 +211,7 @@ TEST(SweepKey, DeterministicAndSensitive)
         }
     }
     // Knobs that change cycles and once drifted out of the key.
-    for (const char *key : {"wrong_path", "resize_interval",
-                            "fault_commit_stall", "fault_overpromote"})
+    for (const char *key : {"wrong_path", "resize_interval"})
         EXPECT_EQ(identity.count(key), 1u) << key;
 }
 

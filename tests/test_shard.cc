@@ -1,14 +1,13 @@
 /**
  * @file
- * Distributed sweep service (DESIGN.md §17): shard partition
- * stability, config-spec round-trips, wire-protocol tolerance, the
- * JobBoard lease state machine, and end-to-end coordinator/worker
- * sweeps that must merge byte-identically to a single-process run.
+ * Distributed sweep service (DESIGN.md §17): config-spec round-trips,
+ * wire-protocol tolerance, the JobBoard lease queue, and end-to-end
+ * coordinator/worker sweeps that must merge byte-identically to a
+ * single-process run.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -93,41 +92,7 @@ maskedResultsJson(const std::vector<RunResult> &results)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Sharding and config specs
-
-TEST(Shard, ShardOfIsPermutationStableAndInRange)
-{
-    const std::vector<SimConfig> cfgs = smallConfigSet();
-    for (unsigned shards : {1u, 2u, 3u, 7u}) {
-        std::vector<unsigned> forward, backward;
-        for (const SimConfig &cfg : cfgs)
-            forward.push_back(shardOf(sweepKey(cfg), shards));
-        for (auto it = cfgs.rbegin(); it != cfgs.rend(); ++it)
-            backward.push_back(shardOf(sweepKey(*it), shards));
-        std::reverse(backward.begin(), backward.end());
-        // A pure function of the key: the job list's order (or any
-        // lease history) cannot move a job between shards.
-        EXPECT_EQ(forward, backward);
-        for (const unsigned s : forward)
-            EXPECT_LT(s, shards);
-    }
-    EXPECT_EQ(shardOf("anything", 0), 0u);
-}
-
-TEST(Shard, DistinctKeysSpreadAcrossShards)
-{
-    // Not a strict uniformity claim - just that the hash is not
-    // degenerate for realistic key sets.
-    const std::vector<SimConfig> cfgs = smallConfigSet();
-    std::vector<bool> hit(3, false);
-    for (const SimConfig &cfg : cfgs)
-        hit[shardOf(sweepKey(cfg), 3)] = true;
-    EXPECT_TRUE(hit[0] || hit[1] || hit[2]);
-    unsigned used = 0;
-    for (const bool h : hit)
-        used += h;
-    EXPECT_GE(used, 2u) << "6 distinct keys all hashed to one shard";
-}
+// Config specs
 
 TEST(Shard, ConfigSpecRoundTripsEveryIqKind)
 {
@@ -209,15 +174,11 @@ TEST(WorkerProto, MessagesRoundTrip)
     Message welcome;
     welcome.type = MsgType::Welcome;
     welcome.proto = 1;
-    welcome.shard = 2;
-    welcome.shards = 3;
     welcome.jobs = 42;
     welcome.leaseMs = 60'000;
     welcome.heartbeatMs = 1'000;
     ASSERT_TRUE(decodeMessage(encodeMessage(welcome), out));
     EXPECT_EQ(out.type, MsgType::Welcome);
-    EXPECT_EQ(out.shard, 2);
-    EXPECT_EQ(out.shards, 3u);
     EXPECT_EQ(out.jobs, 42u);
     EXPECT_EQ(out.leaseMs, 60'000u);
     EXPECT_EQ(out.heartbeatMs, 1'000u);
@@ -411,64 +372,97 @@ t0()
     return JobBoard::Clock::time_point() + std::chrono::hours(1);
 }
 
-std::vector<std::string>
-boardKeys(std::size_t n)
-{
-    std::vector<std::string> keys;
-    for (std::size_t i = 0; i < n; ++i)
-        keys.push_back("job-" + std::to_string(i));
-    return keys;
-}
-
 } // namespace
 
-TEST(JobBoard, PrefersOwnShardThenSteals)
+TEST(JobBoard, LeasesInInputOrderOneHolderPerJob)
 {
+    // One in-order queue: a grant is always the lowest-index job that
+    // is neither done nor leased, a job has at most one holder, and a
+    // lost lease costs its job exactly one drop.
+    enum class Op { Lease, Complete, Lose };
+    struct Step
+    {
+        const char *what;
+        Op op;
+        int arg;  ///< worker (Lease, Lose) or job index (Complete)
+        JobBoard::Grant grant = JobBoard::Grant::Leased;
+        std::size_t index = 0;  ///< expected grant (Lease)
+        std::vector<std::size_t> requeued = {}, failed = {};  ///< Lose
+        unsigned hoursLater = 0;
+    };
+    using G = JobBoard::Grant;
+    const Step steps[] = {
+        {"input order", Op::Lease, 1, G::Leased, 0},
+        {"input order", Op::Lease, 2, G::Leased, 1},
+        {"input order", Op::Lease, 3, G::Leased, 2},
+        {"done", Op::Complete, 1},
+        {"one drop requeues", Op::Lose, 1, G::Leased, 0, {0}, {}},
+        {"requeued job before higher index", Op::Lease, 2, G::Leased, 0},
+        {"input order", Op::Lease, 4, G::Leased, 3},
+        {"all in flight: no duplicate", Op::Lease, 5, G::Wait, 0, {}, {},
+         3},
+        {"second drop hits the cap", Op::Lose, 2, G::Leased, 0, {}, {0}},
+        {"no lease, no drop", Op::Lose, 2, G::Leased, 0, {}, {}},
+        {"done", Op::Complete, 2},
+        {"done", Op::Complete, 3},
+        {"drained", Op::Lease, 5, G::Drained, 0},
+    };
+
     JobBoard::Options options;
-    options.shards = 2;
-    const std::vector<std::string> keys = boardKeys(4);
-    JobBoard board(keys, std::vector<char>(4, 0), options);
-
-    // Find one job from each shard for a worker homed there.
-    const unsigned shard0 = board.shardOfJob(0);
-    std::size_t index = 0;
-    ASSERT_EQ(board.lease(1, shard0, t0(), index),
-              JobBoard::Grant::Leased);
-    EXPECT_EQ(board.shardOfJob(index), shard0);
-    EXPECT_EQ(board.steals(), 0u);
-
-    // Lease everything; once a shard empties, grants become steals.
-    std::uint64_t granted = 1;
-    while (board.lease(1, shard0, t0(), index) ==
-           JobBoard::Grant::Leased)
-        ++granted;
-    EXPECT_EQ(granted, 4u);
-    EXPECT_GT(board.steals(), 0u);
-
-    // All in flight, none old enough to duplicate: wait.
-    EXPECT_EQ(board.lease(2, 1, t0(), index), JobBoard::Grant::Wait);
+    options.maxLeaseDrops = 1;
+    JobBoard board(std::vector<char>(4, 0), options);
+    for (const Step &step : steps) {
+        SCOPED_TRACE(step.what);
+        switch (step.op) {
+          case Op::Lease: {
+            std::size_t index = 99;
+            ASSERT_EQ(board.lease(step.arg,
+                                  t0() + std::chrono::hours(
+                                             step.hoursLater),
+                                  index),
+                      step.grant);
+            if (step.grant == G::Leased) {
+                EXPECT_EQ(index, step.index);
+            }
+            break;
+          }
+          case Op::Complete:
+            EXPECT_TRUE(board.complete(step.arg));
+            break;
+          case Op::Lose: {
+            std::vector<std::size_t> requeued, failed;
+            board.workerLost(step.arg, requeued, failed);
+            EXPECT_EQ(requeued, step.requeued);
+            EXPECT_EQ(failed, step.failed);
+            break;
+          }
+        }
+    }
+    EXPECT_TRUE(board.allDone());
+    EXPECT_EQ(board.leases(), 5u);
+    EXPECT_EQ(board.requeues(), 1u);
 }
 
 TEST(JobBoard, CompleteIsIdempotentAndDrains)
 {
-    JobBoard board(boardKeys(2), std::vector<char>(2, 0), {});
+    JobBoard board(std::vector<char>(2, 0), {});
     std::size_t index = 0;
-    ASSERT_EQ(board.lease(1, 0, t0(), index), JobBoard::Grant::Leased);
+    ASSERT_EQ(board.lease(1, t0(), index), JobBoard::Grant::Leased);
     EXPECT_TRUE(board.complete(index));
     EXPECT_FALSE(board.complete(index)) << "duplicate result must lose";
-    ASSERT_EQ(board.lease(1, 0, t0(), index), JobBoard::Grant::Leased);
+    ASSERT_EQ(board.lease(1, t0(), index), JobBoard::Grant::Leased);
     EXPECT_TRUE(board.complete(index));
     EXPECT_TRUE(board.allDone());
-    EXPECT_EQ(board.lease(1, 0, t0(), index),
+    EXPECT_EQ(board.lease(1, t0(), index),
               JobBoard::Grant::Drained);
 }
 
 TEST(JobBoard, JournalDoneJobsAreNeverLeased)
 {
     std::vector<char> done = {1, 0, 1};
-    JobBoard board(boardKeys(3), done, {});
+    JobBoard board(done, {});
     std::size_t index = 99;
-    ASSERT_EQ(board.lease(1, 0, t0(), index), JobBoard::Grant::Leased);
+    ASSERT_EQ(board.lease(1, t0(), index), JobBoard::Grant::Leased);
     EXPECT_EQ(index, 1u);
     EXPECT_TRUE(board.complete(1));
     EXPECT_TRUE(board.allDone());
@@ -478,11 +472,11 @@ TEST(JobBoard, ExpiryRequeuesWithoutLossOrDuplication)
 {
     JobBoard::Options options;
     options.leaseMs = 1000;
-    JobBoard board(boardKeys(2), std::vector<char>(2, 0), options);
+    JobBoard board(std::vector<char>(2, 0), options);
 
     std::size_t a = 0, b = 0;
-    ASSERT_EQ(board.lease(1, 0, t0(), a), JobBoard::Grant::Leased);
-    ASSERT_EQ(board.lease(1, 0, t0(), b), JobBoard::Grant::Leased);
+    ASSERT_EQ(board.lease(1, t0(), a), JobBoard::Grant::Leased);
+    ASSERT_EQ(board.lease(1, t0(), b), JobBoard::Grant::Leased);
     EXPECT_NE(a, b);
 
     // Nothing expires before the deadline.
@@ -502,9 +496,9 @@ TEST(JobBoard, ExpiryRequeuesWithoutLossOrDuplication)
 
     std::size_t again = 99;
     const auto later = t0() + std::chrono::milliseconds(2000);
-    ASSERT_EQ(board.lease(2, 0, later, again), JobBoard::Grant::Leased);
+    ASSERT_EQ(board.lease(2, later, again), JobBoard::Grant::Leased);
     EXPECT_TRUE(board.complete(again));
-    ASSERT_EQ(board.lease(2, 0, later, again), JobBoard::Grant::Leased);
+    ASSERT_EQ(board.lease(2, later, again), JobBoard::Grant::Leased);
     EXPECT_TRUE(board.complete(again));
     EXPECT_TRUE(board.allDone()) << "requeue lost or duplicated a job";
 }
@@ -514,12 +508,12 @@ TEST(JobBoard, RepeatedDropsFailTheJob)
     JobBoard::Options options;
     options.leaseMs = 10;
     options.maxLeaseDrops = 2;
-    JobBoard board(boardKeys(1), std::vector<char>(1, 0), options);
+    JobBoard board(std::vector<char>(1, 0), options);
 
     auto now = t0();
     for (unsigned round = 0; round < 3; ++round) {
         std::size_t index = 0;
-        ASSERT_EQ(board.lease(1, 0, now, index),
+        ASSERT_EQ(board.lease(1, now, index),
                   JobBoard::Grant::Leased);
         std::vector<std::size_t> requeued, failed;
         now += std::chrono::milliseconds(11);
@@ -538,30 +532,33 @@ TEST(JobBoard, RepeatedDropsFailTheJob)
 
 TEST(JobBoard, WorkerLossDropsOnlyOrphanedJobs)
 {
-    JobBoard::Options options;
-    options.duplicateAfterMs = 100;
-    JobBoard board(boardKeys(1), std::vector<char>(1, 0), options);
+    JobBoard board(std::vector<char>(2, 0), {});
 
-    std::size_t index = 0;
-    ASSERT_EQ(board.lease(1, 0, t0(), index), JobBoard::Grant::Leased);
-    // Old enough: a second worker gets a duplicate lease of the job.
-    const auto later = t0() + std::chrono::milliseconds(200);
-    ASSERT_EQ(board.lease(2, 0, later, index), JobBoard::Grant::Leased);
-    EXPECT_EQ(board.duplicates(), 1u);
+    std::size_t a = 99, b = 99;
+    ASSERT_EQ(board.lease(1, t0(), a), JobBoard::Grant::Leased);
+    ASSERT_EQ(board.lease(2, t0(), b), JobBoard::Grant::Leased);
+    EXPECT_TRUE(board.complete(b));
+    std::size_t none = 99;
+    ASSERT_EQ(board.lease(3, t0(), none), JobBoard::Grant::Wait);
 
-    // Losing the duplicate holder is free: the original still covers
-    // the job, so no drop is charged.
+    // Losing a worker that holds no lease, or whose job is already
+    // done, orphans nothing, so no drop is charged.
     std::vector<std::size_t> requeued, failed;
+    board.workerLost(3, requeued, failed);
     board.workerLost(2, requeued, failed);
     EXPECT_TRUE(requeued.empty());
     EXPECT_TRUE(failed.empty());
     EXPECT_EQ(board.requeues(), 0u);
 
-    // Losing the last holder orphans the job: one requeue.
+    // Losing the holder of the in-flight job orphans it: one requeue.
     board.workerLost(1, requeued, failed);
-    EXPECT_EQ(requeued.size(), 1u);
+    EXPECT_EQ(requeued, std::vector<std::size_t>{a});
     EXPECT_TRUE(failed.empty());
     EXPECT_EQ(board.requeues(), 1u);
+
+    std::size_t again = 99;
+    ASSERT_EQ(board.lease(3, t0(), again), JobBoard::Grant::Leased);
+    EXPECT_EQ(again, a);
 }
 
 // ---------------------------------------------------------------------
@@ -570,11 +567,10 @@ TEST(JobBoard, WorkerLossDropsOnlyOrphanedJobs)
 namespace {
 
 ServeOptions
-quickServeOptions(const std::string &endpoint, unsigned shards)
+quickServeOptions(const std::string &endpoint)
 {
     ServeOptions options;
     options.endpoint = endpoint;
-    options.shards = shards;
     options.leaseMs = 60'000;
     options.workerGraceMs = 30'000;
     return options;
@@ -616,7 +612,7 @@ TEST(ServeSweep, DistributedMatchesSingleProcessByteForByte)
     ServeStats stats;
     std::vector<RunResult> dist;
     std::thread coord([&] {
-        dist = serveSweep(cfgs, quickServeOptions(socket, 2), &stats);
+        dist = serveSweep(cfgs, quickServeOptions(socket), &stats);
     });
     std::thread w0(
         [&] { runWorker(quickWorkerOptions(socket, "w0")); });
@@ -643,7 +639,7 @@ TEST(ServeSweep, ResumesFromJournalWithoutRerunning)
         "/tmp/sciq-resume-" + std::to_string(::getpid()) + ".jsonl";
     ::unlink(journal.c_str());
 
-    ServeOptions options = quickServeOptions(socket, 1);
+    ServeOptions options = quickServeOptions(socket);
     options.journal = journal;
 
     std::vector<RunResult> first;
@@ -674,7 +670,7 @@ TEST(ServeSweep, RejectsVersionMismatchedWorkers)
     const std::string socket = testSocket("proto");
     ServeStats stats;
     std::thread coord([&] {
-        serveSweep(cfgs, quickServeOptions(socket, 1), &stats);
+        serveSweep(cfgs, quickServeOptions(socket), &stats);
     });
 
     // A worker from a different build speaks a different version; the
@@ -705,7 +701,7 @@ TEST(ServeSweep, DeadWorkerLeaseIsRequeuedWithoutLossOrDuplication)
     const std::vector<RunResult> ref = SweepRunner(1).run(cfgs);
 
     const std::string socket = testSocket("death");
-    ServeOptions options = quickServeOptions(socket, 1);
+    ServeOptions options = quickServeOptions(socket);
     ServeStats stats;
     std::vector<RunResult> dist;
     std::thread coord(
@@ -749,7 +745,7 @@ TEST(ServeSweep, FaultInjectedWorkerAbortIsRecovered)
     ServeStats stats;
     std::vector<RunResult> dist;
     std::thread coord([&] {
-        dist = serveSweep(cfgs, quickServeOptions(socket, 2), &stats);
+        dist = serveSweep(cfgs, quickServeOptions(socket), &stats);
     });
 
     // Deterministic chaos: the seeded budget makes this worker die in
@@ -777,7 +773,7 @@ TEST(ServeSweep, RejectsWallClockDeadlineJobs)
     std::vector<SimConfig> cfgs = {makeIdealConfig(64, "swim")};
     cfgs[0].deadlineSec = 1.0;
     EXPECT_THROW(
-        serveSweep(cfgs, quickServeOptions(testSocket("dl"), 1)),
+        serveSweep(cfgs, quickServeOptions(testSocket("dl"))),
         ConfigError);
 }
 
@@ -788,7 +784,7 @@ TEST(ServeSweep, TcpLoopbackMatchesSingleProcessByteForByte)
 
     // Bind port 0 and pick up the kernel-assigned port: no fixed-port
     // collisions between parallel test runs.
-    ServeOptions options = quickServeOptions("127.0.0.1:0", 2);
+    ServeOptions options = quickServeOptions("127.0.0.1:0");
     std::atomic<unsigned> port{0};
     options.boundPortOut = &port;
 
@@ -868,7 +864,6 @@ TEST(Handshake, WorkerRejectsSkewedCoordinatorWithoutHanging)
         Message welcome;
         welcome.type = MsgType::Welcome;
         welcome.proto = kWorkerProtoVersion + 1;
-        welcome.shards = 1;
         const std::string line = encodeMessage(welcome) + "\n";
         (void)!::write(fd, line.data(), line.size());
         ::close(fd);
@@ -915,7 +910,6 @@ TEST(Handshake, TornWelcomeIsContainedOnTheWorkerSide)
         Message welcome;
         welcome.type = MsgType::Welcome;
         welcome.proto = kWorkerProtoVersion;
-        welcome.shards = 1;
         const std::string line = encodeMessage(welcome);
         (void)!::write(fd, line.data(), line.size() / 2);  // no '\n'
         ::close(fd);
@@ -945,7 +939,7 @@ TEST(Handshake, TornHelloIsContainedOnTheCoordinatorSide)
     const std::string socket = testSocket("tornhello");
     ServeStats stats;
     std::thread coord([&] {
-        serveSweep(cfgs, quickServeOptions(socket, 1), &stats);
+        serveSweep(cfgs, quickServeOptions(socket), &stats);
     });
 
     {
@@ -977,7 +971,6 @@ TEST(Heartbeat, FrozenCoordinatorIsDetectedInSeconds)
         Message welcome;
         welcome.type = MsgType::Welcome;
         welcome.proto = kWorkerProtoVersion;
-        welcome.shards = 1;
         welcome.jobs = 1;
         welcome.leaseMs = 60'000;
         welcome.heartbeatMs = 200;

@@ -66,8 +66,6 @@ corpus()
     m = Message();
     m.type = MsgType::Welcome;
     m.proto = kWorkerProtoVersion;
-    m.shard = 1;
-    m.shards = 4;
     m.jobs = 42;
     m.leaseMs = 60'000;
     m.heartbeatMs = 1'000;
@@ -208,7 +206,7 @@ TEST(ProtoFuzz, TypeConfusedFieldsDecodeFalse)
         "{\"type\":\"hello\",\"proto\":-2}",
         "{\"type\":\"hello\",\"proto\":4294967296}",
         "{\"type\":\"hello\",\"worker\":{\"name\":\"w0\"}}",
-        "{\"type\":\"welcome\",\"proto\":2,\"shards\":1.5}",
+        "{\"type\":\"welcome\",\"proto\":4,\"jobs\":1.5,\"lease_ms\":1}",
         "{\"type\":\"welcome\",\"proto\":2,\"jobs\":-1}",
         "{\"type\":\"lease\",\"index\":1e300,\"key\":\"k\",\"spec\":\"s\"}",
         "{\"type\":\"lease\",\"index\":null,\"key\":\"k\",\"spec\":\"s\"}",

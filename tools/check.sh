@@ -172,21 +172,21 @@ leg_distributed() {
   scratch="$(mktemp -d)"
   distributed_reference
   tools/sweep_local.sh -b build -w 3 -- \
-      "socket=$scratch/sweep.sock" workers=3 preset=quick \
+      "socket=$scratch/sweep.sock" preset=quick \
       "out=$scratch/dist.json" "journal=$scratch/dist.jsonl"
   compare_masked "$scratch/dist.json"
 
   begin_leg "distributed sweep differential (TCP loopback)" build
   port=$(( 21000 + ($$ % 10000) ))
   tools/sweep_local.sh -b build -w 3 -- \
-      "listen=127.0.0.1:$port" workers=3 preset=quick \
+      "listen=127.0.0.1:$port" preset=quick \
       "out=$scratch/tcp.json" "journal=$scratch/tcp.jsonl"
   compare_masked "$scratch/tcp.json"
 
   begin_leg "distributed warm-up sharing (one warm-up per fleet)" build
   mkdir "$scratch/ckpt"
   tools/sweep_local.sh -b build -w 2 -d "$scratch/ckpt" -- \
-      "socket=$scratch/warm.sock" workers=2 preset=quick \
+      "socket=$scratch/warm.sock" preset=quick \
       workloads=swim ff=50000 "out=$scratch/warm.json"
   restored="$(grep -c '"ckpt_restored": true' "$scratch/warm.json")"
   blobs="$(find "$scratch/ckpt" -name '*.sciqckpt' | wc -l)"
@@ -206,7 +206,7 @@ leg_chaos() {
   scratch="$(mktemp -d)"
   distributed_reference
   tools/sweep_local.sh -b build -w 3 -k 2 -- \
-      "socket=$scratch/sweep.sock" workers=3 preset=quick \
+      "socket=$scratch/sweep.sock" preset=quick \
       "out=$scratch/dist.json" "journal=$scratch/dist.jsonl"
   compare_masked "$scratch/dist.json"
 
@@ -216,7 +216,7 @@ leg_chaos() {
   # redeliver their unacked results, and the merge must not notice.
   port=$(( 31000 + ($$ % 10000) ))
   tools/sweep_local.sh -b build -w 3 -K -- \
-      "listen=127.0.0.1:$port" workers=3 preset=quick \
+      "listen=127.0.0.1:$port" preset=quick \
       "out=$scratch/coord.json" "journal=$scratch/coord.jsonl"
   compare_masked "$scratch/coord.json"
 
